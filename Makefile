@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-fast test-chaos test-serving test-registry test-scenarios test-durability lint bench bench-runner bench-obs bench-serving bench-paper loadtest-smoke
+.PHONY: test test-fast test-chaos test-serving test-registry test-scenarios test-durability lint bench bench-runner bench-obs bench-serving bench-paper loadtest-smoke lifebench-smoke
 
 ## Full tier-1 suite (everything under tests/).
 test:
@@ -66,3 +66,24 @@ loadtest-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli loadtest toy \
 		--mode closed --levels 1,4,16 --requests 48 --episodes 60 \
 		--deadline 2.0 --slo 0.5 --output loadtest-smoke.json
+
+## The lifecycle benchmark stays runnable: its own tests, then one
+## traced cycle per workload, which must end correct with a nonzero
+## mask and step ledger (a renamed step function breaks the tracer at
+## install; a bypassed one reads 0).
+LIFEBENCH_WORKLOADS := courses_repeat trips_sweep catalog_churn
+
+lifebench-smoke:
+	$(PYTHON) -m pytest lifebench/tests -q -p no:cacheprovider
+	@for workload in $(LIFEBENCH_WORKLOADS); do \
+		$(PYTHON) lifebench/run.py --workload $$workload --seconds 1 \
+			--trace 1 > lifebench-smoke-$$workload.log || exit 1; \
+		tail -n 1 lifebench-smoke-$$workload.log | $(PYTHON) -c \
+			'import json, sys; r = json.load(sys.stdin); m = r["metrics"]; \
+			ok = r["correct"] and m["reward.mask_candidates"]["value"] > 0 \
+			and m["policy.steps"]["value"] > 0; \
+			print(sys.argv[1], "correct", r["correct"], \
+			"mask_candidates", m["reward.mask_candidates"]["value"], \
+			"policy.steps", m["policy.steps"]["value"]); \
+			sys.exit(0 if ok else 1)' $$workload || exit 1; \
+	done

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
+import statistics
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -35,11 +38,12 @@ from repro.core.config import PlannerConfig, RewardWeights
 from repro.core.env import TPPEnvironment
 from repro.core.items import Item
 from repro.core.plan import PlanBuilder
+from repro.core.planner import RLPlanner
 from repro.core.policy import GreedyPolicy
 from repro.core.qtable import QTable, SparseQTable
 from repro.core.reward import RewardFunction, batch_rewards
 from repro.core.sarsa import SarsaLearner
-from repro.datasets.synthetic import generate_instance
+from repro.datasets.synthetic import SyntheticSpec, generate_instance
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_reward_engine.json"
@@ -266,6 +270,59 @@ def run_scale(
     return rows
 
 
+def run_serving(
+    num_items: int = 5_000, plans: int = 8, seed: int = 1
+) -> Dict[str, object]:
+    """A served plan at catalog scale, as lifebench's ``catalog_churn``.
+
+    The synthetic catalog at ``seed`` with that workload's training
+    recipe (sparse table, ``candidate_top_k=32``, 6 episodes), then
+    ``RLPlanner.recommend`` from the first ``plans`` openers: the
+    two-rollout lookahead portfolio, masking every candidate at every
+    step (serving never prunes).  Records wall time per plan, steps per
+    plan and candidates scanned per step.
+    """
+    catalog, task = generate_instance(
+        SyntheticSpec(num_items=num_items, seed=seed)
+    )
+    config = PlannerConfig(
+        qtable_backend="auto", candidate_top_k=32, episodes=6, seed=0
+    )
+    planner = RLPlanner(catalog, task, config=config)
+    planner.fit()
+    reward = planner.env.reward
+    scanned: List[int] = []
+    mask = reward.mask_actions
+
+    def counting_mask(builder, candidates):
+        scanned.append(len(candidates))
+        return mask(builder, candidates)
+
+    starts = [
+        item.item_id
+        for item in catalog.primaries()
+        if item.prerequisites.is_empty
+    ][:plans]
+    planner.recommend(starts[0])  # warm the per-catalog views
+    reward.mask_actions = counting_mask
+    times = []
+    try:
+        for start in starts:
+            t0 = time.perf_counter()
+            planner.recommend(start)
+            times.append(time.perf_counter() - t0)
+    finally:
+        del reward.mask_actions
+    return {
+        "num_items": int(num_items),
+        "plans": len(starts),
+        "ms_per_plan_median": 1e3 * statistics.median(times),
+        "ms_per_plan_min": 1e3 * min(times),
+        "steps_per_plan": len(scanned) / len(starts),
+        "candidates_per_step": sum(scanned) / len(scanned),
+    }
+
+
 def run_backends(
     num_items: int = 500, episodes: int = 16, seed: int = 0
 ) -> Dict[str, object]:
@@ -472,7 +529,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         help="also run the large-catalog sections: sparse-backend "
         "training at --scale-sizes (with the in-bench pruning "
         "bit-identity check), the dense-vs-sparse backend "
-        "head-to-head, and the episode-batched >= 2x speedup gate",
+        "head-to-head, the episode-batched >= 2x speedup gate, and a "
+        "served plan at the smallest scale size",
     )
     parser.add_argument(
         "--scale-sizes", type=int, nargs="+",
@@ -485,6 +543,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     print(render(results))
     payload: Dict[str, object] = {
         "bench": "reward_engine",
+        "host": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "sizes": results,
     }
     if args.scale:
@@ -508,6 +571,14 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             f"episode batching at |I|={batch_size}: "
             f"{payload['episode_batch']['speedup']:.2f}x "
             "(>= 2x asserted, byte-identical table and plan)"
+        )
+        serving = run_serving(num_items=batch_size)
+        payload["serving"] = serving
+        print(
+            f"served plan at |I|={batch_size}: "
+            f"{serving['ms_per_plan_median']:.1f} ms median, "
+            f"{serving['steps_per_plan']:.0f} steps, "
+            f"{serving['candidates_per_step']:.0f} candidates per step"
         )
     if args.obs:
         payload["obs_overhead"] = obs_overhead(seed=args.seed)

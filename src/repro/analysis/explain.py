@@ -98,7 +98,7 @@ def explain_plan(
             candidates = 1
         else:
             candidates = len(
-                reward.mask_actions(builder, builder.remaining_items())
+                reward.mask_actions(builder, builder.remaining_indices())
             )
             breakdown = reward.breakdown(builder, item)
         gained = tuple(sorted(builder.new_topics(item) & ideal))

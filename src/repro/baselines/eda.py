@@ -103,20 +103,18 @@ class EDAPlanner(BaselinePlanner):
         horizon: int,
         should_stop: Optional[Callable[[], bool]],
     ) -> Plan:
+        credits = self.catalog.columns.credits
         while len(builder) < horizon:
             if should_stop is not None and should_stop():
                 break
-            candidates = [
-                item
-                for item in builder.remaining_items()
-                if item.credits <= self._budget_left(builder.total_credits)
+            candidates = builder.remaining_indices()
+            candidates = candidates[
+                credits[candidates] <= self._budget_left(builder.total_credits)
             ]
-            if not candidates:
+            if not candidates.size:
                 break
             rewards = batch_rewards(self.reward, builder, candidates)
             winners = np.flatnonzero(rewards == rewards.max())
-            choice = candidates[
-                int(winners[int(self._rng.integers(winners.size))])
-            ]
-            builder.add(choice)
+            choice = candidates[int(winners[int(self._rng.integers(winners.size))])]
+            builder.add(self.catalog.item_at(int(choice)))
         return builder.build()

@@ -22,6 +22,8 @@ from __future__ import annotations
 import enum
 from typing import Optional, Tuple
 
+import numpy as np
+
 from ..obs import get_registry
 from .catalog import Catalog
 from .config import PlannerConfig
@@ -46,6 +48,20 @@ class DomainMode(enum.Enum):
 #: sums of floats, so an item whose cost lands within this band of the
 #: remaining budget still counts as affordable.
 BUDGET_TOLERANCE = 1e-9
+
+
+def affordable_indices(
+    task: TaskSpec, builder: PlanBuilder, candidates: np.ndarray
+) -> np.ndarray:
+    """The candidate catalog indices whose visit time fits the budget.
+
+    The single trip-mode budget rule, shared by the environment and the
+    greedy recommender: an item is affordable when its cost is within
+    :data:`BUDGET_TOLERANCE` of what the plan has left.
+    """
+    budget_left = task.hard.min_credits - builder.total_credits
+    credits = builder.catalog.columns.credits[candidates]
+    return candidates[credits <= budget_left + BUDGET_TOLERANCE]
 
 
 class TPPEnvironment:
@@ -114,61 +130,50 @@ class TPPEnvironment:
         ``config.mask_invalid_actions`` is on, items failing the Eq. 3/4
         gates (theta = 0) are additionally excluded — unless that leaves
         nothing, in which case the unmasked set is returned so episodes
-        never deadlock.
+        never deadlock.  The Items of :meth:`action_indices`.
+        """
+        item_at = self.catalog.item_at
+        return tuple(item_at(i) for i in self.action_indices().tolist())
+
+    def action_indices(self) -> np.ndarray:
+        """Catalog indices of :meth:`valid_actions`, in the same order.
 
         With ``config.candidate_top_k`` set (and a reward exposing the
-        pruned path) masking runs two-stage: vectorized gate screens
-        over the raw candidate indices first, then a top-k-by-reward
-        cut of the survivors, without ever materializing the full
-        candidate Item tuple — the greedy argmax over the result is
-        bit-identical to the unpruned path (see
+        pruned path) the masked set is cut to the top-k candidates by
+        reward, every boundary tie kept — the greedy argmax over the
+        result is bit-identical to the unpruned path (see
         ``RewardFunction.mask_actions_pruned_idx``).
         """
-        builder = self.builder
-        if self.config.mask_invalid_actions:
-            top_k = self.config.candidate_top_k
-            pruner = getattr(self.reward, "mask_actions_pruned_idx", None)
-            if top_k is not None and pruner is not None:
-                idx = self.valid_action_indices()
-                if idx.size > top_k:
-                    return pruner(builder, idx, top_k)
-        if self.mode is DomainMode.TRIP:
-            remaining = tuple(
-                self.catalog.item_at(int(i))
-                for i in self._affordable_indices(builder)
-            )
-        else:
-            remaining = builder.remaining_items()
-        if self.config.mask_invalid_actions:
-            return self.reward.mask_actions(builder, remaining)
-        return remaining
+        idx = self.valid_action_indices()
+        if not self.config.mask_invalid_actions:
+            return idx
+        top_k = self.config.candidate_top_k
+        pruner = getattr(self.reward, "mask_actions_pruned_idx", None)
+        if top_k is not None and pruner is not None and idx.size > top_k:
+            return pruner(self.builder, idx, top_k)
+        return self.reward.mask_actions(self.builder, idx)
 
-    def valid_action_indices(self):
+    def valid_action_indices(self) -> np.ndarray:
         """Catalog indices of the raw (pre-mask) candidate set.
 
-        The index-space twin of the unmasked :meth:`valid_actions`
-        tiers' input — unvisited items, restricted in trip mode to the
-        affordable ones — in ascending catalog order, which is exactly
-        the order ``remaining_items`` yields.  Used by the pruned
-        masking path and the episode-batched learner to avoid
-        materializing Item tuples for the whole catalog.
+        Unvisited items, restricted in trip mode to the affordable ones,
+        in ascending catalog order — exactly the order
+        ``remaining_items`` yields.
         """
         builder = self.builder
         if self.mode is DomainMode.TRIP:
             return self._affordable_indices(builder)
         return builder.remaining_indices()
 
-    def _affordable_indices(self, builder: PlanBuilder):
+    def _affordable_indices(self, builder: PlanBuilder) -> np.ndarray:
         """Unvisited catalog indices whose visit time fits the budget.
 
-        The single trip-mode feasibility rule — shared by
-        :meth:`valid_actions` and :meth:`is_done` so the two can never
-        disagree about whether any affordable item remains.
+        Shared by :meth:`valid_actions` and :meth:`is_done` so the two
+        can never disagree about whether any affordable item remains.
         """
-        remaining_idx = builder.remaining_indices()
-        budget_left = self.task.hard.min_credits - builder.total_credits
-        credits = self.catalog.columns.credits[remaining_idx]
-        return remaining_idx[credits <= budget_left + BUDGET_TOLERANCE]
+        return affordable_indices(
+            self.task, builder, builder.remaining_indices()
+        )
 
     def step(self, item: Item) -> Tuple[float, bool]:
         """Take the action that appends ``item``; return (reward, done)."""

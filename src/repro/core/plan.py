@@ -11,7 +11,9 @@ users.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -121,6 +123,9 @@ class PlanBuilder:
         self._total_credits: float = 0.0
         self._num_primary: int = 0
         self._sim_states: Dict[Tuple[int, str], IncrementalSimilarity] = {}
+        # State derived from the current plan, valid until it changes.
+        self._remaining: Optional[np.ndarray] = None
+        self._step_memo: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
     # State inspection
@@ -185,19 +190,35 @@ class PlanBuilder:
         )
 
     def remaining_indices(self) -> np.ndarray:
-        """Catalog indices of the unvisited items, ascending.
+        """Catalog indices of the unvisited items, ascending (read-only).
 
         Ascending index order equals catalog order, so
         ``catalog.item_at`` over this array reproduces
-        :meth:`remaining_items` exactly.
+        :meth:`remaining_items` exactly.  Computed once per plan state.
         """
-        index_map = self._catalog.index_map
-        mask = np.ones(len(self._catalog), dtype=bool)
-        for item_id in self._positions:
-            idx = index_map.get(item_id)
-            if idx is not None:
-                mask[idx] = False
-        return np.flatnonzero(mask)
+        if self._remaining is None:
+            index_map = self._catalog.index_map
+            mask = np.ones(len(self._catalog), dtype=bool)
+            for item_id in self._positions:
+                idx = index_map.get(item_id)
+                if idx is not None:
+                    mask[idx] = False
+            self._remaining = np.flatnonzero(mask)
+            self._remaining.flags.writeable = False
+        return self._remaining
+
+    def step_memo(self, key: object, compute: Callable[[], object]) -> object:
+        """``compute()``, memoized until the plan next changes.
+
+        Lets the calls of one planning step share state derived from
+        the current plan (the reward's per-step gate vectors) instead of
+        recomputing it.
+        """
+        memo = self._step_memo
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute()
+        return value
 
     def similarity_state(
         self, template: InterleavingTemplate, mode: SimilarityMode
@@ -237,6 +258,8 @@ class PlanBuilder:
             )
         self._positions[item.item_id] = len(self._items)
         self._items.append(item)
+        self._remaining = None
+        self._step_memo.clear()
         self._topics |= item.topics
         self._total_credits += item.credits
         if item.is_primary:
@@ -260,6 +283,8 @@ class PlanBuilder:
         self._total_credits = 0.0
         self._num_primary = 0
         self._sim_states.clear()
+        self._remaining = None
+        self._step_memo.clear()
 
 
 def plan_from_ids(catalog: Catalog, item_ids: Sequence[str]) -> Plan:

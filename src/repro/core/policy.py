@@ -25,13 +25,17 @@ import numpy as np
 
 from .catalog import Catalog
 from .constraints import TaskSpec
-from .env import DomainMode
+from .env import DomainMode, affordable_indices
 from .exceptions import PlanningError, UntrainedPolicyError
 from .items import Item
 from .plan import Plan, PlanBuilder
 from .qtable import QTableBase
 from .config import RecommendationMode
 from .reward import RewardFunction, batch_rewards
+
+#: Two lookahead totals closer than this are tied: ``R + gamma * Q``
+#: sums floats, so equal-valued actions can differ in the last bits.
+TIE_TOLERANCE = 1e-12
 
 
 class GreedyPolicy:
@@ -170,118 +174,80 @@ class GreedyPolicy:
         horizon: int,
         allowed_item_ids: Optional[FrozenSet[str]],
     ) -> Plan:
+        catalog = self.catalog
+        allowed = None
+        if allowed_item_ids is not None:
+            allowed = np.fromiter(
+                (item.item_id in allowed_item_ids for item in catalog),
+                dtype=bool,
+                count=len(catalog),
+            )
         while len(builder) < horizon:
-            candidates = self._allowed_actions(builder, allowed_item_ids)
-            if not candidates:
+            cand_idx = self._allowed_actions(builder, allowed)
+            if cand_idx.size == 0:
                 break
             if self.recommendation is RecommendationMode.LOOKAHEAD:
-                next_id = self._lookahead_choice(
-                    builder, candidates, allowed_item_ids
-                )
+                chosen = self._lookahead_choice(builder, cand_idx, allowed)
             else:
-                next_id = self._q_only_choice(current, candidates)
-            builder.add_by_id(next_id)
-            current = next_id
+                chosen = self._q_only_choice(current, cand_idx)
+            item = catalog.item_at(chosen)
+            builder.add(item)
+            current = item.item_id
 
         return builder.build()
 
-    def _q_only_choice(self, current: str, candidates: Sequence[Item]) -> str:
+    def _q_only_choice(self, current: str, cand_idx: np.ndarray) -> int:
         """Literal Algorithm-1 argmax of the stored Q row.
 
-        Runs on catalog indices (``best_action_idx``) so the traversal
-        never rebuilds id lists per step; equivalent to the id-based
+        Runs on catalog indices (``best_action_idx``); the id-based
         ``best_action`` — same winner set, order, and tie-break draws —
-        which remains the fallback when ``current`` is a foreign prefix
-        item outside the catalog index.
+        remains the path when ``current`` is a foreign prefix item
+        outside the catalog index.
         """
         catalog = self.catalog
-        index_map = catalog.index_map
-        state_idx = index_map.get(current)
+        state_idx = catalog.index_map.get(current)
         if state_idx is None:
-            return self.qtable.best_action(
-                current, [c.item_id for c in candidates], rng=self._rng
-            )
-        cand_idx = np.fromiter(
-            (index_map[item.item_id] for item in candidates),
-            dtype=np.int64,
-            count=len(candidates),
-        )
-        chosen = self.qtable.best_action_idx(state_idx, cand_idx, rng=self._rng)
-        return catalog.item_at(chosen).item_id
+            ids = [catalog.item_at(i).item_id for i in cand_idx.tolist()]
+            chosen = self.qtable.best_action(current, ids, rng=self._rng)
+            return catalog.index_of(chosen)
+        return self.qtable.best_action_idx(state_idx, cand_idx, rng=self._rng)
 
     def _lookahead_choice(
         self,
         builder: PlanBuilder,
-        candidates: Sequence[Item],
-        allowed_item_ids: Optional[FrozenSet[str]] = None,
-    ) -> str:
+        cand_idx: np.ndarray,
+        allowed: Optional[np.ndarray] = None,
+    ) -> int:
         """argmax over a of ``R(s, a) + gamma * max_b Q(a, b)``.
 
         The immediate term comes from the batched reward engine and the
-        continuation term from the backend's ``best_continuation`` (a
-        sliced vectorized ``max`` on the dense table, a stored-entry
-        scan on the sparse one — identical results either way).
+        continuation term from the backend's ``best_continuation``;
+        ``allowed`` (a mask over the catalog) keeps closed items out of
+        the continuation too.  Ties follow :func:`_tied_best`.
         """
-        catalog = self.catalog
         remaining_idx = builder.remaining_indices()
-        if allowed_item_ids is not None:
-            # Closed items must not contribute continuation value either.
-            keep = np.fromiter(
-                (
-                    catalog.item_at(int(i)).item_id in allowed_item_ids
-                    for i in remaining_idx
-                ),
-                dtype=bool,
-                count=len(remaining_idx),
-            )
-            remaining_idx = remaining_idx[keep]
-        index_map = catalog.index_map
-        cand_idx = np.fromiter(
-            (index_map[item.item_id] for item in candidates),
-            dtype=np.int64,
-            count=len(candidates),
-        )
+        if allowed is not None:
+            remaining_idx = remaining_idx[allowed[remaining_idx]]
         future = self.qtable.best_continuation(cand_idx, remaining_idx)
-
-        rewards = batch_rewards(self.reward, builder, candidates)
-        totals = rewards + self.discount * future
-
-        best_value = -np.inf
-        winners: list = []
-        for action, total in zip(candidates, totals.tolist()):
-            if total > best_value + 1e-12:
-                best_value = total
-                winners = [action.item_id]
-            elif abs(total - best_value) <= 1e-12:
-                winners.append(action.item_id)
-        if len(winners) > 1 and self._rng is not None:
-            return winners[int(self._rng.integers(len(winners)))]
-        return winners[0]
+        rewards = batch_rewards(self.reward, builder, cand_idx)
+        winners = _tied_best(rewards + self.discount * future)
+        if winners.size > 1 and self._rng is not None:
+            return int(cand_idx[winners[int(self._rng.integers(winners.size))]])
+        return int(cand_idx[winners[0]])
 
     def _allowed_actions(
-        self,
-        builder: PlanBuilder,
-        allowed_item_ids: Optional[FrozenSet[str]] = None,
-    ) -> Tuple[Item, ...]:
-        """Unvisited items (trip mode: also within the time budget),
-        gate-masked when a reward function is attached."""
-        remaining = builder.remaining_items()
-        if allowed_item_ids is not None:
-            remaining = tuple(
-                item
-                for item in remaining
-                if item.item_id in allowed_item_ids
-            )
+        self, builder: PlanBuilder, allowed: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Unvisited catalog indices (only ``allowed`` ones; trip mode:
+        within the time budget), gate-masked when a reward is attached."""
+        cand_idx = builder.remaining_indices()
+        if allowed is not None:
+            cand_idx = cand_idx[allowed[cand_idx]]
         if self.mode is DomainMode.TRIP:
-            budget_left = self.task.hard.min_credits - builder.total_credits
-            remaining = tuple(
-                item
-                for item in remaining
-                if item.credits <= budget_left + 1e-9
-            )
+            cand_idx = affordable_indices(self.task, builder, cand_idx)
         if self.mask and self.reward is not None:
-            return self.reward.mask_actions(builder, remaining)
-        return remaining
+            return self.reward.mask_actions(builder, cand_idx)
+        return cand_idx
 
     def recommend_many(
         self, start_item_ids: Sequence[str], horizon: Optional[int] = None
@@ -290,3 +256,38 @@ class GreedyPolicy:
         return tuple(
             self.recommend(start, horizon=horizon) for start in start_item_ids
         )
+
+
+def _tied_best(totals: np.ndarray) -> np.ndarray:
+    """Positions kept by the sequential tie rule over ``totals``.
+
+    The rule walks the totals in order: one above the running best by
+    more than :data:`TIE_TOLERANCE` restarts the winners, one within it
+    joins them.  Only the top cluster — totals down to the first gap
+    wider than the tolerance, as both float forms of the rule see it —
+    can affect the outcome: the first of them to arrive restarts the
+    winners over anything before it, and nothing below the gap can join
+    or restart after it.  So the rule runs on that cluster alone.  NaN
+    never wins; when every total is NaN, every position ties.
+    """
+    finite = ~np.isnan(totals)
+    if not finite.any():
+        return np.arange(totals.size)
+    values = np.sort(totals[finite])[::-1]
+    gaps = np.flatnonzero(
+        (values[:-1] - values[1:] > TIE_TOLERANCE)
+        & (values[:-1] > values[1:] + TIE_TOLERANCE)
+    )
+    floor = values[gaps[0]] if gaps.size else values[-1]
+    top = np.flatnonzero(totals >= floor)
+    if values[0] == floor and np.isfinite(floor):
+        return top
+    best = -np.inf
+    winners: list = []
+    for pos, total in zip(top.tolist(), totals[top].tolist()):
+        if total > best + TIE_TOLERANCE:
+            best = total
+            winners = [pos]
+        elif abs(total - best) <= TIE_TOLERANCE:
+            winners.append(pos)
+    return np.asarray(winners) if winners else np.arange(totals.size)

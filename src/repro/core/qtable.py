@@ -377,14 +377,16 @@ class QTable(QTableBase):
     def best_continuation(
         self, cand_idx: np.ndarray, remaining_idx: np.ndarray
     ) -> np.ndarray:
-        continuation = self._values[np.ix_(cand_idx, remaining_idx)].copy()
+        continuation = self._values[np.ix_(cand_idx, remaining_idx)]
         # Mask each candidate's own column (no self-transition); the
         # candidates are a subset of the remaining items, and
-        # remaining_idx is sorted ascending.
+        # remaining_idx is sorted ascending.  NaN never wins, as in
+        # best_action and the sparse backend: fmax skips it, and the
+        # masked self column keeps every row's reduction non-NaN.
         self_col = np.searchsorted(remaining_idx, cand_idx)
         rows = np.arange(len(cand_idx))
         continuation[rows, self_col] = -np.inf
-        return np.maximum(continuation.max(axis=1), 0.0)
+        return np.maximum(np.fmax.reduce(continuation, axis=1), 0.0)
 
     def _copy_storage_into(self, clone: "QTableBase") -> None:
         assert isinstance(clone, QTable)
@@ -480,24 +482,32 @@ class SparseQTable(QTableBase):
     def best_continuation(
         self, cand_idx: np.ndarray, remaining_idx: np.ndarray
     ) -> np.ndarray:
-        # Scan each candidate's stored entries (few) against a remaining
-        # lookup instead of slicing a dense submatrix.  The clamp at 0
-        # mirrors the dense path exactly: unstored remaining cells read
-        # 0.0 there, so the dense max is >= 0 whenever any unstored
-        # remaining cell exists, and the explicit clamp covers the rest.
-        in_remaining = np.zeros(len(self.catalog), dtype=bool)
+        # Scan stored entries (few) against a remaining lookup instead of
+        # slicing a dense submatrix.  The clamp at 0 mirrors the dense
+        # path exactly: unstored remaining cells read 0.0 there, so the
+        # dense max is >= 0 whenever any unstored remaining cell exists,
+        # and the explicit clamp covers the rest.  NaN never wins
+        # (``value > best`` is False), as in the dense path.  Only a
+        # candidate with a stored row can continue above 0, so walk
+        # whichever is shorter: the candidates or the stored rows.
+        n = len(self.catalog)
+        in_remaining = np.zeros(n, dtype=bool)
         in_remaining[remaining_idx] = True
-        out = np.zeros(len(cand_idx), dtype=np.float64)
-        for j, s in enumerate(cand_idx.tolist()):
-            row = self._rows.get(int(s))
-            if not row:
+        is_candidate = np.zeros(n, dtype=bool)
+        is_candidate[cand_idx] = True
+        rows = self._rows
+        states = rows if len(rows) < len(cand_idx) else cand_idx.tolist()
+        best_by_state = np.zeros(n, dtype=np.float64)
+        for s in states:
+            row = rows.get(s)
+            if not row or not is_candidate[s]:
                 continue
             best = 0.0
             for a, value in row.items():
                 if a != s and value > best and in_remaining[a]:
                     best = value
-            out[j] = best
-        return out
+            best_by_state[s] = best
+        return best_by_state[cand_idx]
 
     def _copy_storage_into(self, clone: "QTableBase") -> None:
         assert isinstance(clone, SparseQTable)

@@ -61,14 +61,131 @@ class RewardBreakdown:
         return self.r1_coverage * self.r2_gap
 
 
+#: Slack on the category credit minima: a shortfall at or below it counts
+#: as met, since earned credits are float sums.
+CREDIT_TOLERANCE = 1e-9
+
+#: Slack (km) on the trip distance budget: travelled distance is a float
+#: sum of haversine legs.
+DISTANCE_TOLERANCE_KM = 1e-9
+
+
+class _PrereqIndex:
+    """Every item's prerequisite CNF, flattened for one-pass evaluation.
+
+    Members are tokenized rather than index-mapped because prerequisite
+    edges may reference ids outside the catalog (out-of-program
+    antecedents) and plan positions may contain foreign prefix items —
+    both participate in gap checks by id, not by catalog index.  Every
+    array is O(total prerequisite members) integers.
+    """
+
+    def __init__(self, catalog: Catalog) -> None:
+        carriers: List[int] = []
+        group_counts: List[int] = []
+        group_sizes: List[int] = []
+        member_tokens: List[int] = []
+        token_index: Dict[str, int] = {}
+        for idx, item in enumerate(catalog):
+            groups = item.prerequisites.groups
+            if not groups:
+                continue
+            carriers.append(idx)
+            group_counts.append(len(groups))
+            for group in groups:
+                group_sizes.append(len(group))
+                for member in sorted(group):
+                    member_tokens.append(
+                        token_index.setdefault(member, len(token_index))
+                    )
+        counts = np.asarray(group_counts, dtype=np.int64)
+        sizes = np.asarray(group_sizes, dtype=np.int64)
+        #: Catalog index of each item carrying prerequisites.
+        self.carriers = np.asarray(carriers, dtype=np.int64)
+        #: Offsets of each carrier's first group and each group's first
+        #: member.
+        self.carrier_starts = np.cumsum(counts) - counts
+        self.group_starts = np.cumsum(sizes) - sizes
+        self.member_tokens = np.asarray(member_tokens, dtype=np.int64)
+        #: Group and carrier position owning each member.
+        self.member_group = np.repeat(np.arange(sizes.size), sizes)
+        self.member_carrier = np.repeat(np.arange(counts.size), counts)[
+            self.member_group
+        ]
+        self.token_index = token_index
+        #: Catalog index of each token (-1 for ids outside the catalog).
+        index_map = catalog.index_map
+        self.token_catalog = np.fromiter(
+            (index_map.get(member, -1) for member in token_index),
+            dtype=np.int64,
+            count=len(token_index),
+        )
+
+    def unsatisfied(
+        self, positions: Dict[str, int], at_position: int, gap: int
+    ) -> np.ndarray:
+        """Per group: True when no member is placed early enough.
+
+        The scalar ``Prerequisites.satisfied_by`` test per group: a
+        member counts iff it is in ``positions`` (foreign prefix items
+        included) with ``at_position - position >= gap``.
+        """
+        token_pos = np.full(len(self.token_index), -1, dtype=np.int64)
+        for item_id, position in positions.items():
+            token = self.token_index.get(item_id)
+            if token is not None:
+                token_pos[token] = position
+        member_pos = token_pos[self.member_tokens]
+        member_ok = (member_pos >= 0) & (at_position - member_pos >= gap)
+        return ~np.logical_or.reduceat(member_ok, self.group_starts)
+
+    def unsatisfied_counts(self, unsatisfied: np.ndarray) -> np.ndarray:
+        """Number of unsatisfied groups per carrier."""
+        return np.add.reduceat(
+            unsatisfied.astype(np.int64), self.carrier_starts
+        )
+
+    def fixer_pairs(
+        self,
+        unsatisfied: np.ndarray,
+        counts: np.ndarray,
+        open_carriers: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(fixer, fixed)`` catalog indices of the unlockable items.
+
+        Placing ``fixer`` now satisfies every unsatisfied group of the
+        open carrier ``fixed``: it is a member of each of them.  Members
+        are unique within a group, so that is a (carrier, member) pair
+        hit once per unsatisfied group of the carrier.
+        """
+        sel = unsatisfied[self.member_group] & open_carriers[
+            self.member_carrier
+        ]
+        carrier = self.member_carrier[sel]
+        token = self.member_tokens[sel]
+        # With one unmet group per carrier every selected member is a
+        # fixer; otherwise keep the members hit by all of its groups.
+        if (counts[carrier] > 1).any():
+            n_tokens = len(self.token_index)
+            keys, hits = np.unique(
+                carrier * n_tokens + token, return_counts=True
+            )
+            carrier, token = np.divmod(keys, n_tokens)
+            common = hits == counts[carrier]
+            carrier, token = carrier[common], token[common]
+        fixer = self.token_catalog[token]
+        known = fixer >= 0
+        return fixer[known], self.carriers[carrier[known]]
+
+
 class _CatalogView:
     """Task-specific vectorized columns over one catalog.
 
     Combines the catalog's generic :class:`~repro.core.catalog.CatalogColumns`
     with everything the batch reward derives from the *task/config* pair:
     the ideal-topic incidence submatrix, the per-item type/category
-    weight vector, and the indices of prerequisite-carrying items.
-    Built once per (reward, catalog) pair and cached.
+    weight vector, and the flattened prerequisite CNF.  Built once per
+    (reward, catalog) pair and cached.
     """
 
     def __init__(
@@ -108,48 +225,15 @@ class _CatalogView:
                 if weight is not None:
                     weights[cols.category_codes == code] = weight
         self.item_weights = weights
-        # Flattened prerequisite CNF (built lazily on first batched gap
-        # or reachability evaluation; None until then).
-        self._prereq_arrays: Optional[Tuple] = None
+        self._prereqs: Optional[_PrereqIndex] = None
         self._catalog_ref = weakref.ref(catalog)
 
-    def _build_prereq_arrays(self):
-        """Flatten every item's CNF groups into reduceat-ready arrays.
-
-        Members are tokenized rather than index-mapped because
-        prerequisite edges may reference ids outside the catalog
-        (out-of-program antecedents) and plan positions may contain
-        foreign prefix items — both participate in gap checks by id, not
-        by catalog index.
-        """
-        catalog = self._catalog_ref()
-        carriers: List[int] = []
-        group_counts: List[int] = []
-        item_group_starts: List[int] = []
-        group_starts: List[int] = []
-        member_tokens: List[int] = []
-        token_index: Dict[str, int] = {}
-        for idx, item in enumerate(catalog):
-            groups = item.prerequisites.groups
-            if not groups:
-                continue
-            carriers.append(idx)
-            item_group_starts.append(len(group_starts))
-            group_counts.append(len(groups))
-            for group in groups:
-                group_starts.append(len(member_tokens))
-                for member in sorted(group):
-                    token = token_index.setdefault(member, len(token_index))
-                    member_tokens.append(token)
-        self._prereq_arrays = (
-            np.asarray(carriers, dtype=np.int64),
-            np.asarray(group_counts, dtype=np.int64),
-            np.asarray(item_group_starts, dtype=np.int64),
-            np.asarray(group_starts, dtype=np.int64),
-            np.asarray(member_tokens, dtype=np.int64),
-            token_index,
-        )
-        return self._prereq_arrays
+    @property
+    def prereqs(self) -> _PrereqIndex:
+        """The flattened prerequisite CNF (built on first use)."""
+        if self._prereqs is None:
+            self._prereqs = _PrereqIndex(self._catalog_ref())
+        return self._prereqs
 
     def prereq_satisfied(
         self, positions: Dict[str, int], at_position: int, gap: int
@@ -158,37 +242,15 @@ class _CatalogView:
 
         Returns a boolean vector per catalog index: True where the item
         has no antecedents or every CNF group holds a member placed at
-        least ``gap`` positions before ``at_position``.  Exactly the
-        scalar semantics — a group member counts iff it is in
-        ``positions`` (foreign prefix items included) with
-        ``at_position - position >= gap``.
+        least ``gap`` positions before ``at_position``.
         """
-        arrays = self._prereq_arrays
-        if arrays is None:
-            arrays = self._build_prereq_arrays()
-        (
-            carriers,
-            group_counts,
-            item_group_starts,
-            group_starts,
-            member_tokens,
-            token_index,
-        ) = arrays
         out = np.ones(len(self.cols.primary_mask), dtype=bool)
-        if carriers.size == 0:
-            return out
-        token_pos = np.full(len(token_index), -1, dtype=np.int64)
-        for item_id, position in positions.items():
-            token = token_index.get(item_id)
-            if token is not None:
-                token_pos[token] = position
-        member_pos = token_pos[member_tokens]
-        member_ok = (member_pos >= 0) & (at_position - member_pos >= gap)
-        group_sat = np.add.reduceat(member_ok, group_starts) > 0
-        sat_groups = np.add.reduceat(
-            group_sat.astype(np.int64), item_group_starts
-        )
-        out[carriers] = sat_groups == group_counts
+        prereqs = self.prereqs
+        if prereqs.carriers.size:
+            unsatisfied = prereqs.unsatisfied(positions, at_position, gap)
+            out[prereqs.carriers] = (
+                prereqs.unsatisfied_counts(unsatisfied) == 0
+            )
         return out
 
     def covered_ideal(self, topics) -> np.ndarray:
@@ -202,139 +264,239 @@ class _CatalogView:
         return covered
 
 
-class _CategoryPoolStats:
-    """Per-category aggregates of a feasibility pool.
-
-    Carries exactly what `_joint_feasible` needs — count, primary count,
-    and the two smallest distinct credit values (with multiplicity of
-    the smallest) so one item's exclusion can be applied in O(1) without
-    rebuilding the pool.
-    """
-
-    __slots__ = ("count", "primaries", "min1", "min1_count", "min2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.primaries = 0
-        self.min1 = float("inf")
-        self.min1_count = 0
-        self.min2 = float("inf")
-
-    def add(self, item: Item) -> None:
-        self.count += 1
-        if item.is_primary:
-            self.primaries += 1
-        credits = item.credits
-        if credits < self.min1:
-            self.min2 = self.min1
-            self.min1 = credits
-            self.min1_count = 1
-        elif credits == self.min1:
-            self.min1_count += 1
-        elif credits < self.min2:
-            self.min2 = credits
-
-    def min_without(self, credits: float) -> float:
-        """Smallest credit value if one item worth ``credits`` left."""
-        if credits == self.min1 and self.min1_count == 1:
-            return self.min2
-        return self.min1
-
-
 class _FeasibilityContext:
-    """One step's feasibility pool, checkable per candidate in O(1).
+    """One step's feasibility pool, deciding every candidate in one pass.
 
-    Produced by :meth:`RewardFunction._feasibility_context`;
-    :meth:`check` reproduces :meth:`RewardFunction.feasibility_gate`
-    exactly (primary split, joint category minima, distance budget)
-    against the shared aggregates instead of a per-candidate pool
-    rebuild.
+    Built once per step by :meth:`RewardFunction._feasibility_context`
+    from what :meth:`RewardFunction.feasibility_gate` recomputes per
+    candidate: the reachable remaining pool (one CNF pass), its primary
+    count and per-category credit aggregates, the ``(fixer, fixed)``
+    pairs of unreachable items a candidate would unlock, and the
+    travelled distance.  :meth:`decide` applies the gate's checks —
+    primary split, joint category minima, distance budget — to a whole
+    candidate index array with the same float operations in the same
+    order, so every verdict equals the scalar gate's.
     """
-
-    __slots__ = (
-        "reward",
-        "index_map",
-        "slots_after",
-        "base_primaries",
-        "reachable",
-        "reachable_primaries",
-        "category_stats",
-        "fixers",
-        "base_earned",
-        "distance_applies",
-        "base_distance",
-        "last_coords",
-    )
 
     def __init__(
-        self,
-        reward: "RewardFunction",
-        index_map: Dict[str, int],
-        slots_after: int,
-        base_primaries: int,
-        reachable: np.ndarray,
-        reachable_primaries: int,
-        category_stats: Dict[str, _CategoryPoolStats],
-        fixers: Dict[str, List[Item]],
-        base_earned: Dict[str, float],
-        distance_applies: bool,
-        base_distance: float,
-        last_coords: Optional[Tuple[float, float]],
+        self, reward: "RewardFunction", builder: PlanBuilder, slots_after: int
     ) -> None:
-        self.reward = reward
-        self.index_map = index_map
+        hard = reward.task.hard
+        catalog = builder.catalog
+        view = reward._view(catalog)
+        cols = view.cols
+        n = len(catalog)
+        self.hard = hard
+        self.cols = cols
         self.slots_after = slots_after
-        self.base_primaries = base_primaries
-        self.reachable = reachable
-        self.reachable_primaries = reachable_primaries
-        self.category_stats = category_stats
-        self.fixers = fixers
-        self.base_earned = base_earned
-        self.distance_applies = distance_applies
-        self.base_distance = base_distance
-        self.last_coords = last_coords
+        self.base_primaries = builder.num_primary
 
-    def check(self, cand: Item) -> bool:
-        """Would the plan stay completable after taking ``cand``?"""
-        hard = self.reward.task.hard
-        primaries_have = self.base_primaries + (1 if cand.is_primary else 0)
-        primaries_short = max(0, hard.num_primary - primaries_have)
-        if primaries_short > self.slots_after:
-            return False
-        fixed = self.fixers.get(cand.item_id, ())
-        idx = self.index_map.get(cand.item_id)
-        cand_reachable = idx is not None and bool(self.reachable[idx])
-        unused_primaries = (
-            self.reachable_primaries
-            - (1 if cand.is_primary and cand_reachable else 0)
-            + sum(1 for other in fixed if other.is_primary)
-        )
-        if primaries_short > unused_primaries:
-            return False
-        if hard.category_credit_map and not self.reward._joint_feasible_pooled(
-            cand,
-            self.category_stats,
-            self.base_earned,
-            fixed,
-            cand_reachable,
-            self.slots_after,
-            primaries_short,
-            unused_primaries,
-        ):
-            return False
-        if self.distance_applies:
-            lat, lon = cand.meta("lat"), cand.meta("lon")
-            if lat is not None and lon is not None:
-                assert self.last_coords is not None
-                total = self.base_distance + haversine_km(
-                    self.last_coords[0],
-                    self.last_coords[1],
-                    float(lat),  # type: ignore[arg-type]
-                    float(lon),  # type: ignore[arg-type]
+        # Reachable: remaining items whose every prerequisite group is
+        # already met for the final slot.  An open (unmet) item becomes
+        # reachable only through a candidate in each of its unmet
+        # groups, and only when the candidate's own slot is early enough.
+        last_slot = hard.plan_length - 1
+        reachable = np.zeros(n, dtype=bool)
+        reachable[builder.remaining_indices()] = True
+        fixer = fixed = np.zeros(0, dtype=np.int64)
+        prereqs = view.prereqs
+        if prereqs.carriers.size:
+            unsatisfied = prereqs.unsatisfied(
+                builder.positions, last_slot, hard.gap
+            )
+            counts = prereqs.unsatisfied_counts(unsatisfied)
+            open_carriers = (counts > 0) & reachable[prereqs.carriers]
+            reachable[prereqs.carriers[open_carriers]] = False
+            if last_slot - len(builder) >= hard.gap:
+                fixer, fixed = prereqs.fixer_pairs(
+                    unsatisfied, counts, open_carriers
                 )
-                if total > hard.max_distance + 1e-9:
-                    return False
-        return True
+        self.reachable = reachable
+        self.reachable_primaries = int(
+            np.count_nonzero(cols.primary_mask & reachable)
+        )
+        self.fixed_primaries = np.bincount(
+            fixer[cols.primary_mask[fixed]], minlength=n
+        )
+        self.categories = (
+            self._category_pools(builder, fixer, fixed)
+            if hard.category_credit_map
+            else []
+        )
+        self.last_coords, self.base_distance = self._travelled(builder)
+
+    def _category_pools(
+        self, builder: PlanBuilder, fixer: np.ndarray, fixed: np.ndarray
+    ) -> list:
+        """Per minimum-credit category: the credits earned so far, the
+        reachable pool's count, primaries and two smallest distinct
+        credit values (with the smallest's multiplicity, so one item's
+        exclusion is O(1)), and per catalog index the count, primaries
+        and minimum credits of the pool members it would unlock."""
+        cols = self.cols
+        n = cols.credits.size
+        earned: Dict[str, float] = {}
+        for chosen in builder.items:
+            if chosen.category is not None:
+                earned[chosen.category] = (
+                    earned.get(chosen.category, 0.0) + chosen.credits
+                )
+        code_of = {c: i for i, c in enumerate(cols.categories)}
+        pool_idx = np.flatnonzero(self.reachable)
+        pool_codes = cols.category_codes[pool_idx]
+        fixed_codes = cols.category_codes[fixed]
+        pools = []
+        for category, minimum in self.hard.category_credit_map.items():
+            code = code_of.get(category, -2)  # -2 matches no item
+            members = pool_idx[pool_codes == code]
+            credits = cols.credits[members]
+            low = float(credits.min()) if credits.size else float("inf")
+            above = credits[credits > low]
+            unlock = None
+            sel = fixed_codes == code
+            if sel.any():
+                by, items = fixer[sel], fixed[sel]
+                unlock_min = np.full(n, np.inf)
+                np.minimum.at(unlock_min, by, cols.credits[items])
+                unlock = (
+                    np.bincount(by, minlength=n),
+                    np.bincount(by[cols.primary_mask[items]], minlength=n),
+                    unlock_min,
+                )
+            pools.append((
+                code,
+                minimum,
+                earned.get(category, 0.0),
+                members.size,
+                int(np.count_nonzero(cols.primary_mask[members])),
+                low,
+                int(np.count_nonzero(credits == low)),
+                float(above.min()) if above.size else float("inf"),
+                unlock,
+            ))
+        return pools
+
+    def _travelled(
+        self, builder: PlanBuilder
+    ) -> Tuple[Optional[Tuple[float, float]], float]:
+        """(last coordinates, distance so far), or ``(None, 0.0)`` when
+        the budget does not apply: no budget, an empty plan, or a plan
+        item without geo data."""
+        if self.hard.max_distance is None or not len(builder):
+            return None, 0.0
+        coords = []
+        for chosen in builder.items:
+            lat, lon = chosen.meta("lat"), chosen.meta("lon")
+            if lat is None or lon is None:
+                return None, 0.0
+            coords.append((float(lat), float(lon)))  # type: ignore[arg-type]
+        distance = 0.0
+        for a, b in zip(coords, coords[1:]):
+            distance += haversine_km(a[0], a[1], b[0], b[1])
+        return coords[-1], distance
+
+    def decide(self, cand_idx: np.ndarray) -> np.ndarray:
+        """Would the plan stay completable after each candidate?"""
+        primary = self.cols.primary_mask[cand_idx]
+        short = np.maximum(
+            0, self.hard.num_primary - (self.base_primaries + primary)
+        )
+        reachable = self.reachable[cand_idx]
+        unused = (
+            self.reachable_primaries
+            - (primary & reachable)
+            + self.fixed_primaries[cand_idx]
+        )
+        ok = (short <= self.slots_after) & (short <= unused)
+        if self.categories:
+            ok &= self._category_minima(
+                cand_idx, primary, reachable, short, unused
+            )
+        if self.last_coords is not None:
+            ok &= self._within_distance(cand_idx)
+        return ok
+
+    def _category_minima(
+        self,
+        cand_idx: np.ndarray,
+        primary: np.ndarray,
+        reachable: np.ndarray,
+        short: np.ndarray,
+        unused: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`RewardFunction._joint_feasible` for every candidate."""
+        credits = self.cols.credits[cand_idx]
+        codes = self.cols.category_codes[cand_idx]
+        ok = np.ones(cand_idx.size, dtype=bool)
+        slots_used = np.zeros(cand_idx.size, dtype=np.int64)
+        covered = np.zeros(cand_idx.size, dtype=np.int64)
+        for (
+            code, minimum, earned, count, primaries, low, low_count,
+            second, unlock,
+        ) in self.categories:
+            own = codes == code
+            shortfall = minimum - np.where(own, earned + credits, earned)
+            open_ = ~(shortfall <= CREDIT_TOLERANCE)
+            if not open_.any():
+                continue
+            # A reachable candidate leaves its own category's pool.
+            leaves = own & reachable
+            pool_count = count - leaves
+            pool_min = np.where(
+                leaves & (credits == low) & (low_count == 1), second, low
+            )
+            pool_primaries = primaries - (leaves & primary)
+            if unlock is not None:
+                pool_count = pool_count + unlock[0][cand_idx]
+                pool_primaries = pool_primaries + unlock[1][cand_idx]
+                pool_min = np.minimum(pool_min, unlock[2][cand_idx])
+            stocked = pool_count > 0
+            needed = np.where(
+                open_ & stocked,
+                -np.floor_divide(
+                    -shortfall, np.where(stocked, pool_min, 1.0)
+                ),
+                0.0,
+            ).astype(np.int64)
+            ok &= ~open_ | (stocked & (needed <= pool_count))
+            slots_used += needed
+            # Primaries inside a category's demand double-count toward
+            # the primary quota.
+            covered += np.minimum(needed, pool_primaries)
+        left = np.maximum(0, short - covered)
+        return (
+            ok
+            & (slots_used <= self.slots_after)
+            & (left <= self.slots_after - slots_used)
+            & (left <= unused)
+        )
+
+    def _within_distance(self, cand_idx: np.ndarray) -> np.ndarray:
+        """Distance budget after the leg to each candidate.
+
+        Legs come from :func:`haversine_km` itself (NumPy's
+        transcendental kernels may differ from ``math`` in the last
+        bit), so every total equals the scalar gate's.
+        """
+        cols = self.cols
+        ok = np.ones(cand_idx.size, dtype=bool)
+        geo = np.flatnonzero(cols.has_coords[cand_idx])
+        if geo.size:
+            lat0, lon0 = self.last_coords  # type: ignore[misc]
+            targets = cand_idx[geo]
+            legs = np.fromiter(
+                (
+                    haversine_km(lat0, lon0, lat, lon)
+                    for lat, lon in zip(
+                        cols.lat[targets].tolist(), cols.lon[targets].tolist()
+                    )
+                ),
+                dtype=np.float64,
+                count=geo.size,
+            )
+            limit = self.hard.max_distance + DISTANCE_TOLERANCE_KM
+            ok[geo] = ~(self.base_distance + legs > limit)
+        return ok
 
 
 class RewardFunction:
@@ -372,7 +534,7 @@ class RewardFunction:
         return view
 
     # ------------------------------------------------------------------
-    # Components
+    # Components (per item; the reference the step kernel must equal)
     # ------------------------------------------------------------------
 
     def coverage_gate(self, builder: PlanBuilder, item: Item) -> int:
@@ -517,7 +679,7 @@ class RewardFunction:
         primaries_covered = 0
         for category, minimum in minima.items():
             shortfall = minimum - earned.get(category, 0.0)
-            if shortfall <= 1e-9:
+            if shortfall <= CREDIT_TOLERANCE:
                 continue
             pool = [o for o in unused if o.category == category]
             if not pool:
@@ -556,57 +718,11 @@ class RewardFunction:
             haversine_km(a[0], a[1], b[0], b[1])
             for a, b in zip(coords, coords[1:])
         )
-        return total <= max_distance + 1e-9
-
-    def mask_actions(self, builder: PlanBuilder, candidates) -> tuple:
-        """Tiered action masking used by the environment and recommender.
-
-        Hard-constraint feasibility dominates the (soft) topic-coverage
-        gate: the tiers are, in preference order,
-
-        1. r1 AND r2 AND feasible,
-        2. r2 AND feasible          (sacrifice coverage, keep P_hard),
-        3. r1 AND r2,
-        4. r2,
-        5. everything               (episodes never deadlock).
-
-        All three gates are evaluated batched (one pass of shared
-        per-step state instead of per-candidate rescans); the tier
-        semantics and candidate ordering are unchanged.
-        """
-        candidates = tuple(candidates)
-        if not candidates:
-            return candidates
-        cand_idx = self._candidate_indices(builder.catalog, candidates)
-        if cand_idx is None:
-            return self._mask_actions_scalar(builder, candidates)
-
-        view = self._view(builder.catalog)
-        gap_ok_mask = self._gap_mask(builder, view, candidates, cand_idx)
-        gap_ok = tuple(
-            item for item, ok in zip(candidates, gap_ok_mask.tolist()) if ok
-        )
-        feasible_mask = self.feasible_mask(builder, gap_ok)
-        feasible = tuple(
-            item for item, ok in zip(gap_ok, feasible_mask.tolist()) if ok
-        )
-        covered_mask = self._coverage_mask(builder, view, cand_idx)
-        covered_by_id = {
-            item.item_id: ok
-            for item, ok in zip(candidates, covered_mask.tolist())
-        }
-        for tier in (feasible, gap_ok):
-            covered = tuple(
-                item for item in tier if covered_by_id[item.item_id]
-            )
-            if covered:
-                return covered
-            if tier:
-                return tier
-        return candidates
+        return total <= max_distance + DISTANCE_TOLERANCE_KM
 
     def _mask_actions_scalar(self, builder: PlanBuilder, candidates) -> tuple:
-        """Per-item fallback for candidates outside the catalog index."""
+        """Per-item tier cascade: the reference :meth:`mask_actions`
+        equals, and its path for candidates outside the catalog index."""
         gap_ok = tuple(
             item for item in candidates if self.gap_gate(builder, item)
         )
@@ -624,434 +740,211 @@ class RewardFunction:
         return candidates
 
     # ------------------------------------------------------------------
-    # Batched evaluation (one step, all candidates)
+    # The step kernel: one step, every candidate, over catalog indices
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _candidate_indices(
-        catalog: Catalog, candidates: Sequence[Item]
-    ) -> Optional[np.ndarray]:
-        """Catalog indices of the candidates, or None when any is foreign."""
-        index_map = catalog.index_map
-        out = np.empty(len(candidates), dtype=np.int64)
-        for j, item in enumerate(candidates):
-            idx = index_map.get(item.item_id)
-            if idx is None:
-                return None
-            out[j] = idx
-        return out
+    def mask_actions(self, builder: PlanBuilder, candidates):
+        """Tiered action masking used by the environment and recommender.
 
-    def _coverage_mask(
-        self,
-        builder: PlanBuilder,
-        view: _CatalogView,
-        cand_idx: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized ``r1`` (Eq. 3) over candidate indices."""
-        covered = view.covered_ideal(builder.covered_topics)
-        gained = (view.ideal_matrix[cand_idx] & ~covered).sum(axis=1)
-        return gained >= self._coverage_needed
+        Hard-constraint feasibility dominates the (soft) topic-coverage
+        gate: the tiers are, in preference order,
 
-    def _gap_mask(
-        self,
-        builder: PlanBuilder,
-        view: _CatalogView,
-        candidates: Sequence[Item],
-        cand_idx: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized ``r2`` (Eq. 4) over candidates.
+        1. r1 AND r2 AND feasible,
+        2. r2 AND feasible          (sacrifice coverage, keep P_hard),
+        3. r1 AND r2,
+        4. r2,
+        5. everything               (episodes never deadlock).
 
-        The theme-adjacency check is a single matrix row intersection;
-        prerequisite CNF checks run only for the (typically few)
-        candidates that actually carry antecedents, against one shared
-        positions snapshot.
+        ``candidates`` is a catalog index array (the kept indices come
+        back, in input order) or a sequence of Items (the kept Items come
+        back as a tuple).  Either way one vectorized pass decides every
+        candidate (:meth:`_tier_mask`); only Items outside the catalog
+        index take the per-item :meth:`_mask_actions_scalar`.
         """
-        ok = np.ones(len(candidates), dtype=bool)
-        cols = view.cols
-        if self.task.hard.theme_adjacency_gap:
-            last = builder.last_item
-            if last is not None:
-                last_idx = builder.catalog.index_map.get(last.item_id)
-                if last_idx is not None:
-                    overlap = (
-                        cols.topic_matrix[cand_idx]
-                        & cols.topic_matrix[last_idx]
-                    ).any(axis=1)
-                else:
-                    overlap = np.fromiter(
-                        (
-                            bool(last.topics & item.topics)
-                            for item in candidates
-                        ),
-                        dtype=bool,
-                        count=len(candidates),
-                    )
-                ok &= ~overlap
-        if cols.has_prereqs[cand_idx].any():
-            positions = builder.positions
-            at_position = len(builder)
-            gap = self.task.hard.gap
-            for j, item in enumerate(candidates):
-                if ok[j] and not item.prerequisites.is_empty:
-                    ok[j] = item.prerequisites.satisfied_by(
-                        positions, at_position, gap
-                    )
-        return ok
+        if isinstance(candidates, np.ndarray):
+            return candidates[self._tier_mask(builder, candidates)]
+        candidates = tuple(candidates)
+        cand_idx = _indices_of(builder.catalog, candidates)
+        if cand_idx is None:
+            return self._mask_actions_scalar(builder, candidates)
+        keep = self._tier_mask(builder, cand_idx).tolist()
+        return tuple(item for item, ok in zip(candidates, keep) if ok)
 
-    def _gap_mask_idx(
-        self,
-        builder: PlanBuilder,
-        view: _CatalogView,
-        cand_idx: np.ndarray,
+    def _tier_mask(
+        self, builder: PlanBuilder, cand_idx: np.ndarray
     ) -> np.ndarray:
-        """``r2`` (Eq. 4) over catalog indices, fully vectorized.
+        """The tier cascade as one selection mask over candidate indices."""
+        covered, gap_ok = self._gates(builder, cand_idx)
+        feasible = np.zeros(cand_idx.size, dtype=bool)
+        if gap_ok.any():
+            ctx = self._feasibility_context(builder)
+            if ctx is not None:
+                feasible[gap_ok] = ctx.decide(cand_idx[gap_ok])
+        for tier in (feasible, gap_ok):
+            kept = tier & covered
+            if kept.any():
+                return kept
+            if tier.any():
+                return tier
+        return np.ones(cand_idx.size, dtype=bool)
 
-        Same semantics as :meth:`_gap_mask` but never materializes Item
-        objects: the prerequisite CNF is evaluated in one
-        :meth:`_CatalogView.prereq_satisfied` pass instead of a Python
-        loop, which is what lets the pruned/multi-episode paths screen
-        whole catalogs.
+    def _gates(
+        self, builder: PlanBuilder, cand_idx: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(r1, r2)`` (Eq. 3, Eq. 4) of the candidate indices."""
+        view = self._view(builder.catalog)
+        return (
+            self._coverage_all(builder, view)[cand_idx],
+            self._gap_all(builder, view)[cand_idx],
+        )
+
+    def _coverage_all(
+        self, builder: PlanBuilder, view: _CatalogView
+    ) -> np.ndarray:
+        """Vectorized ``r1`` (Eq. 3) for every catalog item, once a step."""
+
+        def compute() -> np.ndarray:
+            uncovered = ~view.covered_ideal(builder.covered_topics)
+            gained = np.count_nonzero(view.ideal_matrix[:, uncovered], axis=1)
+            return gained >= self._coverage_needed
+
+        return builder.step_memo((view, "r1"), compute)
+
+    def _gap_all(self, builder: PlanBuilder, view: _CatalogView) -> np.ndarray:
+        """Vectorized ``r2`` (Eq. 4) for every catalog item, once a step.
+
+        The prerequisite CNF is one :meth:`_CatalogView.prereq_satisfied`
+        pass; theme adjacency is one topic-matrix column test against the
+        last plan item (a foreign last item is projected onto the
+        catalog's topic columns: a topic outside the vocabulary overlaps
+        no catalog item).
         """
-        ok = np.ones(cand_idx.size, dtype=bool)
-        cols = view.cols
-        if self.task.hard.theme_adjacency_gap:
-            last = builder.last_item
-            if last is not None:
-                last_idx = builder.catalog.index_map.get(last.item_id)
-                if last_idx is not None:
-                    overlap = (
-                        cols.topic_matrix[cand_idx]
-                        & cols.topic_matrix[last_idx]
-                    ).any(axis=1)
-                else:
-                    catalog = builder.catalog
-                    overlap = np.fromiter(
-                        (
-                            bool(last.topics & catalog.item_at(int(i)).topics)
-                            for i in cand_idx
-                        ),
-                        dtype=bool,
-                        count=cand_idx.size,
-                    )
-                ok &= ~overlap
-        if cols.has_prereqs[cand_idx].any():
-            satisfied = view.prereq_satisfied(
+
+        def compute() -> np.ndarray:
+            cols = view.cols
+            ok = view.prereq_satisfied(
                 builder.positions, len(builder), self.task.hard.gap
             )
-            ok &= satisfied[cand_idx]
-        return ok
+            last = builder.last_item
+            if self.task.hard.theme_adjacency_gap and last is not None:
+                last_idx = builder.catalog.index_map.get(last.item_id)
+                if last_idx is not None:
+                    last_cols = cols.topic_matrix[last_idx]
+                else:
+                    last_cols = [
+                        cols.topic_index[t]
+                        for t in last.topics
+                        if t in cols.topic_index
+                    ]
+                ok &= ~cols.topic_matrix[:, last_cols].any(axis=1)
+            return ok
+
+        return builder.step_memo((view, "r2"), compute)
+
+    def _similarities(
+        self, builder: PlanBuilder, view: _CatalogView, cand_idx: np.ndarray
+    ) -> np.ndarray:
+        """Eq. 6/7 similarity of the prefix plus each candidate.
+
+        Every candidate extends the same prefix at the same position, so
+        only two values exist — one per item type — each O(|IT|) through
+        the builder's incremental state; 0 beyond the template horizon.
+        """
+        template = self.task.soft.template
+        if len(builder) + 1 > template.length:
+            return np.zeros(cand_idx.size, dtype=np.float64)
+        state = builder.similarity_state(template, self.config.similarity)
+        sim_primary, sim_secondary = state.peek_types()
+        return np.where(
+            view.cols.primary_mask[cand_idx], sim_primary, sim_secondary
+        )
 
     def mask_actions_pruned_idx(
         self, builder: PlanBuilder, cand_idx: np.ndarray, top_k: int
-    ) -> tuple:
-        """Two-stage tiered masking over catalog indices with top-k pruning.
+    ) -> np.ndarray:
+        """Tier-1 masking over catalog indices, cut to the top-k rewards.
 
-        Stage 1 runs the cheap vectorized gates (Eq. 3 coverage, Eq. 4
-        gap) over every candidate index.  Stage 2 sorts the surviving
-        pool by its *exact* reward — inside the covered-and-gap-ok tier
-        ``theta == 1``, so ``delta*sim + beta*weight`` is the Eq. 2
-        value itself, not merely an upper bound — and walks it in
-        descending order, feasibility-checking lazily against one shared
-        :class:`_FeasibilityContext`, keeping the first ``top_k``
-        feasible candidates *plus every tie at the boundary value*.
-
-        Soundness: the unpruned path's winning tier is exactly the
-        feasible members of this pool (tier 1 of :meth:`mask_actions`),
-        and its argmax winner set is the feasible candidates attaining
-        the maximal reward — all of which this scan keeps (they sort
-        first).  Returning the kept indices in ascending catalog order
-        preserves the relative candidate order, so the downstream argmax
-        — including the tie-break RNG draw — is bit-identical to the
-        unpruned path.  Whenever tier 1 would be empty (no covered
-        gap-ok candidate, or none of them feasible) the method falls
-        back to the full :meth:`mask_actions` tier cascade.
+        Keeps the covered, gap-ok, feasible candidates (tier 1 of
+        :meth:`mask_actions`) whose reward reaches the ``top_k``-th
+        largest among them, every tie at that value included.  Inside
+        tier 1 ``theta == 1``, so ``delta*sim + beta*weight`` is the
+        exact Eq. 2 value and the argmax winner set — the feasible
+        candidates attaining the maximal reward — always survives.
+        Returned in ascending catalog order, so the downstream argmax,
+        including the tie-break RNG draw, is bit-identical to the
+        unpruned path.  When tier 1 is empty the full tier cascade runs.
         """
-        catalog = builder.catalog
-        view = self._view(catalog)
-        covered = self._coverage_mask(builder, view, cand_idx)
-        gap_ok = self._gap_mask_idx(builder, view, cand_idx)
+        covered, gap_ok = self._gates(builder, cand_idx)
         pool = cand_idx[covered & gap_ok]
-        if pool.size == 0:
-            return self._mask_actions_full_fallback(builder, cand_idx)
-        ctx = self._feasibility_context(builder)
-        if ctx is None:
-            return self._mask_actions_full_fallback(builder, cand_idx)
-
-        template = self.task.soft.template
-        if len(builder) + 1 > template.length:
-            sims = np.zeros(pool.size, dtype=np.float64)
-        else:
-            state = builder.similarity_state(template, self.config.similarity)
-            sim_primary, sim_secondary = state.peek_types()
-            sims = np.where(
-                view.cols.primary_mask[pool], sim_primary, sim_secondary
-            )
-        rewards = (
-            self.config.weights.delta * sims
-            + self.config.weights.beta * view.item_weights[pool]
-        )
-        order = np.argsort(-rewards, kind="stable")
-        kept: List[int] = []
-        kept_min = float("inf")
-        for rank in order.tolist():
-            value = float(rewards[rank])
-            if len(kept) >= top_k and value < kept_min:
-                break
-            index = int(pool[rank])
-            if ctx.check(catalog.item_at(index)):
-                kept.append(index)
-                kept_min = value
-        if not kept:
-            return self._mask_actions_full_fallback(builder, cand_idx)
-        kept.sort()
-        return tuple(catalog.item_at(i) for i in kept)
-
-    def _mask_actions_full_fallback(
-        self, builder: PlanBuilder, cand_idx: np.ndarray
-    ) -> tuple:
-        """Materialize the candidate indices and run the unpruned cascade."""
-        catalog = builder.catalog
-        candidates = tuple(
-            catalog.item_at(int(i)) for i in cand_idx.tolist()
-        )
-        return self.mask_actions(builder, candidates)
+        ctx = self._feasibility_context(builder) if pool.size else None
+        if ctx is not None:
+            pool = pool[ctx.decide(pool)]
+            if pool.size > top_k:
+                view = self._view(builder.catalog)
+                rewards = (
+                    self.config.weights.delta
+                    * self._similarities(builder, view, pool)
+                    + self.config.weights.beta * view.item_weights[pool]
+                )
+                cut = pool.size - top_k
+                pool = pool[rewards >= np.partition(rewards, cut)[cut]]
+            if pool.size:
+                return np.sort(pool)
+        return self.mask_actions(builder, cand_idx)
 
     def _feasibility_context(
         self, builder: PlanBuilder
-    ) -> Optional["_FeasibilityContext"]:
-        """Per-step feasibility pool shared by every candidate check.
-
-        Builds, once, everything :meth:`feasibility_gate` recomputes per
-        candidate: the reachability of the remaining pool (vectorized
-        through :meth:`_CatalogView.prereq_satisfied`), the primary
-        count, the per-category credit aggregates, the candidate-fixable
-        items, and the travelled-distance base.  Returns None when no
-        slot remains (every candidate infeasible).
-        """
-        hard = self.task.hard
-        slots_after = hard.plan_length - (len(builder) + 1)
+    ) -> Optional[_FeasibilityContext]:
+        """This step's feasibility pool, or None when no slot remains
+        (every candidate infeasible)."""
+        slots_after = self.task.hard.plan_length - (len(builder) + 1)
         if slots_after < 0:
             return None
+        return _FeasibilityContext(self, builder, slots_after)
 
-        catalog = builder.catalog
-        view = self._view(catalog)
-        cols = view.cols
-        positions = builder.positions
-        k = len(builder)
-        last_slot = hard.plan_length - 1
-        gap = hard.gap
-        candidate_can_fix = last_slot - k >= gap
-        minima = hard.category_credit_map
-
-        # Base reachability of the pool under the current positions; a
-        # candidate can only *add* reachability when it is a member of
-        # every unsatisfied OR-group of a pooled item.
-        remaining_idx = builder.remaining_indices()
-        satisfied = view.prereq_satisfied(positions, last_slot, gap)
-        remaining_sat = satisfied[remaining_idx]
-        reachable_idx = remaining_idx[remaining_sat]
-        reachable = np.zeros(len(catalog), dtype=bool)
-        reachable[reachable_idx] = True
-        reachable_primaries = int(cols.primary_mask[reachable_idx].sum())
-
-        category_stats: Dict[str, _CategoryPoolStats] = {}
-        if minima:
-            category_index = {c: i for i, c in enumerate(cols.categories)}
-            pool_codes = cols.category_codes[reachable_idx]
-            for category in minima:
-                code = category_index.get(category)
-                if code is None:
-                    continue
-                sel = reachable_idx[pool_codes == code]
-                if sel.size == 0:
-                    continue
-                stats = _CategoryPoolStats()
-                credits = cols.credits[sel]
-                stats.count = int(sel.size)
-                stats.primaries = int(cols.primary_mask[sel].sum())
-                min1 = float(credits.min())
-                stats.min1 = min1
-                stats.min1_count = int((credits == min1).sum())
-                above = credits[credits > min1]
-                stats.min2 = float(above.min()) if above.size else float("inf")
-                category_stats[category] = stats
-
-        fixers: Dict[str, List[Item]] = {}
-        if candidate_can_fix:
-            for i in remaining_idx[~remaining_sat].tolist():
-                other = catalog.item_at(i)
-                unsatisfied = [
-                    group
-                    for group in other.prerequisites.groups
-                    if not any(
-                        member in positions
-                        and last_slot - positions[member] >= gap
-                        for member in group
-                    )
-                ]
-                common = frozenset.intersection(*unsatisfied)
-                for fixer_id in common:
-                    fixers.setdefault(fixer_id, []).append(other)
-
-        base_earned: Dict[str, float] = {}
-        if minima:
-            for chosen in builder.items:
-                if chosen.category is not None:
-                    base_earned[chosen.category] = (
-                        base_earned.get(chosen.category, 0.0) + chosen.credits
-                    )
-
-        max_distance = hard.max_distance
-        distance_applies = max_distance is not None and len(builder) > 0
-        base_distance = 0.0
-        last_coords: Optional[Tuple[float, float]] = None
-        if distance_applies:
-            coords = []
-            for chosen in builder.items:
-                lat, lon = chosen.meta("lat"), chosen.meta("lon")
-                if lat is None or lon is None:
-                    distance_applies = False  # no geo data: nothing to enforce
-                    break
-                coords.append((float(lat), float(lon)))
-            if distance_applies:
-                for a, b in zip(coords, coords[1:]):
-                    base_distance += haversine_km(a[0], a[1], b[0], b[1])
-                last_coords = coords[-1]
-
-        return _FeasibilityContext(
-            reward=self,
-            index_map=catalog.index_map,
-            slots_after=slots_after,
-            base_primaries=builder.num_primary,
-            reachable=reachable,
-            reachable_primaries=reachable_primaries,
-            category_stats=category_stats,
-            fixers=fixers,
-            base_earned=base_earned,
-            distance_applies=distance_applies,
-            base_distance=base_distance,
-            last_coords=last_coords,
-        )
-
-    def feasible_mask(
-        self, builder: PlanBuilder, candidates: Sequence[Item]
-    ) -> np.ndarray:
-        """Vectorized :meth:`feasibility_gate` over many candidates.
-
-        The feasibility pool (remaining items, their reachability, the
-        per-category credit aggregates, the travelled distance) is
-        computed *once* per step (:meth:`_feasibility_context`) and
-        adjusted per candidate in O(1) amortized, instead of rebuilt per
-        candidate.
-        """
-        candidates = tuple(candidates)
-        out = np.zeros(len(candidates), dtype=bool)
-        if not candidates:
-            return out
+    def feasible_mask(self, builder: PlanBuilder, candidates) -> np.ndarray:
+        """:meth:`feasibility_gate` over candidates (indices or Items)."""
+        if not isinstance(candidates, np.ndarray):
+            items = tuple(candidates)
+            candidates = _indices_of(builder.catalog, items)
+            if candidates is None:
+                return np.fromiter(
+                    (self.feasibility_gate(builder, item) for item in items),
+                    dtype=bool,
+                    count=len(items),
+                )
         ctx = self._feasibility_context(builder)
         if ctx is None:
-            return out
-        for j, cand in enumerate(candidates):
-            out[j] = ctx.check(cand)
-        return out
-
-    def _joint_feasible_pooled(
-        self,
-        cand: Item,
-        category_stats: Dict[str, _CategoryPoolStats],
-        base_earned: Dict[str, float],
-        fixed: Sequence[Item],
-        cand_reachable: bool,
-        slots_after: int,
-        primaries_short: int,
-        unused_primaries: int,
-    ) -> bool:
-        """`_joint_feasible` against precomputed pool aggregates."""
-        minima = self.task.hard.category_credit_map
-        slots_used = 0
-        primaries_covered = 0
-        for category, minimum in minima.items():
-            earned = base_earned.get(category, 0.0)
-            if cand.category == category:
-                earned += cand.credits
-            shortfall = minimum - earned
-            if shortfall <= 1e-9:
-                continue
-            stats = category_stats.get(category)
-            if stats is None:
-                pool_count = 0
-                pool_min = float("inf")
-                pool_primaries = 0
-            else:
-                pool_count = stats.count
-                pool_min = stats.min1
-                pool_primaries = stats.primaries
-                if cand_reachable and cand.category == category:
-                    pool_count -= 1
-                    pool_min = stats.min_without(cand.credits)
-                    if cand.is_primary:
-                        pool_primaries -= 1
-            for other in fixed:
-                if other.category == category:
-                    pool_count += 1
-                    pool_min = min(pool_min, other.credits)
-                    if other.is_primary:
-                        pool_primaries += 1
-            if pool_count == 0:
-                return False
-            per_item = pool_min
-            needed = int(-(-shortfall // per_item))  # ceil division
-            if needed > pool_count:
-                return False
-            slots_used += needed
-            primaries_covered += min(needed, pool_primaries)
-
-        if slots_used > slots_after:
-            return False
-        primaries_left = max(0, primaries_short - primaries_covered)
-        free_slots = slots_after - slots_used
-        if primaries_left > free_slots:
-            return False
-        return primaries_left <= unused_primaries
+            return np.zeros(candidates.size, dtype=bool)
+        return ctx.decide(candidates)
 
     def batch_components(
-        self, builder: PlanBuilder, candidates: Sequence[Item]
+        self, builder: PlanBuilder, candidates
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized Eq. 2 components for every candidate.
 
         Returns ``(theta, similarity, type_weight, total)`` arrays
-        aligned with ``candidates``; values equal the per-item
-        :meth:`breakdown` fields exactly (the equality is pinned by
-        tests).  Similarity is evaluated through the plan builder's
-        incremental state: since every candidate extends the same prefix
-        at the same position, only two aggregated similarities exist —
-        one per item type — and each costs O(|IT|).
+        aligned with ``candidates`` (catalog indices or Items); values
+        equal the per-item :meth:`breakdown` fields exactly (the
+        equality is pinned by tests).  Items outside the catalog index
+        are scored per item.
         """
-        candidates = tuple(candidates)
-        n = len(candidates)
-        if n == 0:
-            empty = np.zeros(0, dtype=np.float64)
-            return np.zeros(0, dtype=bool), empty, empty.copy(), empty.copy()
-        catalog = builder.catalog
-        cand_idx = self._candidate_indices(catalog, candidates)
-        if cand_idx is None:
-            return self._batch_components_scalar(builder, candidates)
-        view = self._view(catalog)
-
-        theta = self._coverage_mask(builder, view, cand_idx)
-        theta &= self._gap_mask(builder, view, candidates, cand_idx)
-
-        template = self.task.soft.template
-        if len(builder) + 1 > template.length or not theta.any():
-            sims = np.zeros(n, dtype=np.float64)
+        if isinstance(candidates, np.ndarray):
+            cand_idx = candidates
         else:
-            state = builder.similarity_state(template, self.config.similarity)
-            sim_primary, sim_secondary = state.peek_types()
+            candidates = tuple(candidates)
+            cand_idx = _indices_of(builder.catalog, candidates)
+            if cand_idx is None:
+                return self._batch_components_scalar(builder, candidates)
+        view = self._view(builder.catalog)
+        covered, gap_ok = self._gates(builder, cand_idx)
+        theta = covered & gap_ok
+        if theta.any():
             sims = np.where(
-                view.cols.primary_mask[cand_idx], sim_primary, sim_secondary
+                theta, self._similarities(builder, view, cand_idx), 0.0
             )
-            sims = np.where(theta, sims, 0.0)
-
+        else:
+            sims = np.zeros(cand_idx.size, dtype=np.float64)
         weights = view.item_weights[cand_idx]
         totals = np.where(
             theta,
@@ -1078,9 +971,7 @@ class RewardFunction:
             totals[j] = b.total
         return theta, sims, weights, totals
 
-    def reward_batch(
-        self, builder: PlanBuilder, candidates: Sequence[Item]
-    ) -> np.ndarray:
+    def reward_batch(self, builder: PlanBuilder, candidates) -> np.ndarray:
         """Equation-2 rewards for all candidates as one float64 vector.
 
         Semantically identical to ``[self(builder, c) for c in
@@ -1096,71 +987,15 @@ class RewardFunction:
     ) -> List[np.ndarray]:
         """Eq. 2 rewards for many (builder, candidate-set) pairs at once.
 
-        All builders must share one catalog; ``cand_idx_lists[e]`` holds
-        catalog indices of episode ``e``'s candidates.  Bit-identical to
-        calling :meth:`reward_batch` per episode (the per-element float
-        operations are the same), but the coverage gate runs as one
-        stacked matrix reduction over the concatenated candidates — the
-        reduction whose fixed per-call overhead dominates small steps,
-        which is what makes episode-batched SARSA training pay off.
+        ``cand_idx_lists[e]`` holds catalog indices of episode ``e``'s
+        candidates; the result is :meth:`reward_batch` per episode.  Each
+        episode's gates are whole-catalog vectors computed once per step
+        of its builder, so the episode-batched learner pays one pass per
+        episode and step, not one per candidate.
         """
-        if not builders:
-            return []
-        view = self._view(builders[0].catalog)
-        counts = [int(np.asarray(ci).size) for ci in cand_idx_lists]
-        offsets = np.concatenate(
-            [[0], np.cumsum(np.asarray(counts, dtype=np.int64))]
-        )
-        total = int(offsets[-1])
-        if total == 0:
-            return [np.zeros(0, dtype=np.float64) for _ in counts]
-        cand_arrays = [
-            np.asarray(ci, dtype=np.int64).ravel() for ci in cand_idx_lists
-        ]
-        cand_all = np.concatenate(cand_arrays)
-        ep_of = np.repeat(np.arange(len(builders)), counts)
-
-        covered_rows = np.stack(
-            [view.covered_ideal(b.covered_topics) for b in builders]
-        )
-        gained = (view.ideal_matrix[cand_all] & ~covered_rows[ep_of]).sum(
-            axis=1
-        )
-        theta = gained >= self._coverage_needed
-        for e, b in enumerate(builders):
-            lo, hi = int(offsets[e]), int(offsets[e + 1])
-            if hi == lo:
-                continue
-            theta[lo:hi] &= self._gap_mask_idx(b, view, cand_arrays[e])
-
-        sims = np.zeros(total, dtype=np.float64)
-        template = self.task.soft.template
-        for e, b in enumerate(builders):
-            lo, hi = int(offsets[e]), int(offsets[e + 1])
-            if hi == lo:
-                continue
-            theta_seg = theta[lo:hi]
-            if len(b) + 1 > template.length or not theta_seg.any():
-                continue
-            state = b.similarity_state(template, self.config.similarity)
-            sim_primary, sim_secondary = state.peek_types()
-            seg = np.where(
-                view.cols.primary_mask[cand_arrays[e]],
-                sim_primary,
-                sim_secondary,
-            )
-            sims[lo:hi] = np.where(theta_seg, seg, 0.0)
-
-        weights = view.item_weights[cand_all]
-        totals = np.where(
-            theta,
-            self.config.weights.delta * sims
-            + self.config.weights.beta * weights,
-            0.0,
-        )
         return [
-            totals[int(offsets[e]) : int(offsets[e + 1])]
-            for e in range(len(builders))
+            self.batch_components(builder, np.asarray(cand_idx, dtype=np.int64))[3]
+            for builder, cand_idx in zip(builders, cand_idx_lists)
         ]
 
     # ------------------------------------------------------------------
@@ -1215,19 +1050,34 @@ class RewardFunction:
         )
 
 
-def batch_rewards(
-    reward, builder: PlanBuilder, candidates: Sequence[Item]
-) -> np.ndarray:
+def _indices_of(
+    catalog: Catalog, items: Sequence[Item]
+) -> Optional[np.ndarray]:
+    """Catalog indices of ``items``, or None when any is foreign."""
+    index_map = catalog.index_map
+    out = np.empty(len(items), dtype=np.int64)
+    for j, item in enumerate(items):
+        idx = index_map.get(item.item_id)
+        if idx is None:
+            return None
+        out[j] = idx
+    return out
+
+
+def batch_rewards(reward, builder: PlanBuilder, candidates) -> np.ndarray:
     """Score all candidates in one shot, whatever the reward object is.
 
     Uses ``reward.reward_batch`` when the callable provides it (the
     vectorized engine) and falls back to a per-item loop for plain
     RewardFunction-compatible callables (e.g. test doubles), so every
     hot-loop call site can switch to batch scoring unconditionally.
+    ``candidates`` are catalog indices or Items.
     """
     batch = getattr(reward, "reward_batch", None)
     if batch is not None:
         return batch(builder, candidates)
+    if isinstance(candidates, np.ndarray):
+        candidates = [builder.catalog.item_at(i) for i in candidates.tolist()]
     return np.fromiter(
         (reward(builder, item) for item in candidates),
         dtype=np.float64,

@@ -223,7 +223,7 @@ class SarsaLearner:
         episode_batch:
             Number of episodes rolled out concurrently, with each
             round's reward-greedy action selections funnelled through a
-            single stacked reward call (``reward_batch_multi``).  The
+            single multi-episode reward call (``reward_batch_multi``).  The
             default 1 runs the original per-episode loop byte-for-byte.
             With N > 1 episodes are processed in fixed groups of N and
             each group advances in *slot-major rounds*; training is
@@ -452,7 +452,7 @@ class SarsaLearner:
         slots_requesting: List[int] = []
         for slot in range(group):
             envs[slot].reset(start_ids[slot])
-            cand_idx = self._candidate_idx(envs[slot])
+            cand_idx = envs[slot].action_indices()
             if cand_idx.size == 0:
                 self._obs.inc("sarsa_dead_start_episodes_total")
                 stats[slot] = EpisodeStats(
@@ -493,7 +493,7 @@ class SarsaLearner:
                 reward, done = results[slot]
                 action, s_idx, a_idx = pending[slot]
                 next_cand = (
-                    None if done else self._candidate_idx(envs[slot])
+                    None if done else envs[slot].action_indices()
                 )
                 if next_cand is None or next_cand.size == 0:
                     traces[slot].append((s_idx, a_idx, reward, None))
@@ -536,27 +536,6 @@ class SarsaLearner:
 
         return [s for s in stats if s is not None]
 
-    def _candidate_idx(self, env: TPPEnvironment) -> np.ndarray:
-        """Candidate catalog indices for ``env``'s current state.
-
-        Index-space twin of ``env.valid_actions()``: same items, same
-        (ascending catalog) order.  With masking off this is a pure
-        index computation — no Item tuple is ever materialized, which
-        is what lets the batched rollout stay O(1) Python objects per
-        candidate at 10k+ items.  With masking on, the (already pruned
-        or masked) Item tuple is resolved back to indices; those sets
-        are small by construction.
-        """
-        if not env.config.mask_invalid_actions:
-            return np.asarray(env.valid_action_indices(), dtype=np.int64)
-        actions = env.valid_actions()
-        index_map = env.catalog.index_map
-        return np.fromiter(
-            (index_map[action.item_id] for action in actions),
-            dtype=np.int64,
-            count=len(actions),
-        )
-
     def _select_actions_batch(
         self,
         table: QTableBase,
@@ -569,7 +548,7 @@ class SarsaLearner:
         order ``valid_actions`` yields), and the chosen action comes
         back as a catalog index.  RNG order contract (all draws from
         ``self._rng``): exploration coins and uniform picks first, in
-        request order; then — for reward-greedy slots — one stacked
+        request order; then — for reward-greedy slots — one
         ``reward_batch_multi`` call (no draws) followed by the tie-break
         draws in request order.  Q-greedy slots draw their tie-breaks in
         request order instead of the reward call.
@@ -606,7 +585,7 @@ class SarsaLearner:
             for j, rewards in zip(greedy, rewards_list):
                 rewards_by_slot[j] = rewards
         else:
-            # Custom reward wrappers without the stacked entry point
+            # Custom reward wrappers without the multi-episode entry point
             # fall back to one batched call per slot.
             for j in greedy:
                 env, s_idx, cand_idx = requests[j]

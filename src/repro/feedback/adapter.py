@@ -16,7 +16,7 @@ course the student refused.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -106,39 +106,54 @@ class FeedbackAdjustedReward:
         """Adjusted Equation-2 value."""
         return self.breakdown(builder, item).total
 
-    def reward_batch(
-        self, builder: PlanBuilder, candidates: Sequence[Item]
-    ) -> np.ndarray:
+    def reward_batch(self, builder: PlanBuilder, candidates) -> np.ndarray:
         """Vectorized adjusted rewards (batched base + preference term).
 
-        Matches the per-item :meth:`__call__` exactly: the preference
-        bonus applies only to theta-gated-in actions and the adjusted
-        total is clamped at zero.
+        ``candidates`` are catalog indices or Items.  Matches the
+        per-item :meth:`__call__` exactly: the preference bonus applies
+        only to theta-gated-in actions and the adjusted total is clamped
+        at zero.
         """
-        candidates = tuple(candidates)
+        if not isinstance(candidates, np.ndarray):
+            candidates = tuple(candidates)
         theta, _sims, _weights, totals = self.base.batch_components(
             builder, candidates
         )
-        if not candidates:
+        if not len(candidates):
             return totals
-        preference = self.store.preference
-        prefs = np.fromiter(
-            (preference(item.item_id) for item in candidates),
-            dtype=np.float64,
-            count=len(candidates),
-        )
+        prefs = self._preferences(builder, candidates)
         adjusted = np.maximum(0.0, totals + self.feedback_weight * prefs)
         return np.where(theta, adjusted, totals)
 
-    def mask_actions(self, builder: PlanBuilder, candidates) -> tuple:
-        """Base tiered masking plus hard rejection of refused items."""
-        if self.reject_threshold is not None:
-            filtered: Tuple[Item, ...] = tuple(
-                item
-                for item in candidates
-                if self.store.preference(item.item_id)
-                > self.reject_threshold
-            )
-            if filtered:
-                candidates = filtered
+    def mask_actions(self, builder: PlanBuilder, candidates):
+        """Base tiered masking plus hard rejection of refused items.
+
+        Takes catalog indices or Items and answers in the same form.
+        """
+        if not isinstance(candidates, np.ndarray):
+            candidates = tuple(candidates)
+        if self.reject_threshold is not None and len(candidates):
+            keep = self._preferences(builder, candidates) > self.reject_threshold
+            if keep.any():
+                candidates = (
+                    candidates[keep]
+                    if isinstance(candidates, np.ndarray)
+                    else tuple(
+                        item for item, ok in zip(candidates, keep) if ok
+                    )
+                )
         return self.base.mask_actions(builder, candidates)
+
+    def _preferences(self, builder: PlanBuilder, candidates) -> np.ndarray:
+        """Stored preference of each candidate (indices or Items)."""
+        if isinstance(candidates, np.ndarray):
+            item_at = builder.catalog.item_at
+            ids = [item_at(i).item_id for i in candidates.tolist()]
+        else:
+            ids = [item.item_id for item in candidates]
+        preference = self.store.preference
+        return np.fromiter(
+            (preference(item_id) for item_id in ids),
+            dtype=np.float64,
+            count=len(ids),
+        )

@@ -103,12 +103,15 @@ def _strip_timing(value: Any) -> Any:
     return value
 
 
+def canonical_sha256(payload: Any) -> str:
+    """SHA-256 over the canonical (sorted-key, compact) JSON of a payload."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def fingerprint_payload(payload: Dict[str, Any]) -> str:
     """SHA-256 over the deterministic subset of a manifest payload."""
-    canonical = json.dumps(
-        _strip_timing(payload), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_sha256(_strip_timing(payload))
 
 
 @dataclass

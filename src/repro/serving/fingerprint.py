@@ -21,6 +21,9 @@ Stability contract (tested in ``tests/test_fingerprint.py``):
 * **Process-independent.**  The hash is SHA-256 over canonical JSON —
   no ``repr``, no ``hash()`` randomization — so keys survive restarts
   and cross machines.
+* **Hashed once.**  Catalogs are immutable, so a catalog object's
+  fingerprint is computed on first use and memoized: the publish path,
+  ``key_for`` and the delta path all ask about the same live catalog.
 
 Anything that changes planning behaviour *must* land in the key: a
 different ``gap``, budget, coverage threshold, or reward weight yields
@@ -31,6 +34,7 @@ policy trained under different constraints.
 from __future__ import annotations
 
 import numbers
+import weakref
 from typing import Any, Dict, List, Mapping
 
 import numpy as np
@@ -40,7 +44,7 @@ from ..core.config import PlannerConfig
 from ..core.constraints import TaskSpec
 from ..core.env import DomainMode
 from ..core.items import Item, ItemType
-from ..runner.manifest import fingerprint_payload
+from ..runner.manifest import canonical_sha256
 
 #: Bump when a payload's shape changes incompatibly — old artifacts
 #: then simply miss (and retrain) instead of loading wrongly.
@@ -192,19 +196,35 @@ def config_payload(config: PlannerConfig) -> Dict[str, Any]:
     }
 
 
+#: Memoized catalog fingerprints (weak keys: a replaced live catalog
+#: takes its entry with it).
+_CATALOG_FINGERPRINTS: "weakref.WeakKeyDictionary[Catalog, str]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def catalog_fingerprint(catalog: Catalog) -> str:
-    """SHA-256 identity of a catalog's plannable content."""
-    return fingerprint_payload(catalog_payload(catalog))
+    """SHA-256 identity of a catalog's plannable content (memoized).
+
+    The payloads of this module hold no timing keys, so they are hashed
+    directly — the same bytes the manifest hasher would produce,
+    without its strip walk.
+    """
+    fingerprint = _CATALOG_FINGERPRINTS.get(catalog)
+    if fingerprint is None:
+        fingerprint = canonical_sha256(catalog_payload(catalog))
+        _CATALOG_FINGERPRINTS[catalog] = fingerprint
+    return fingerprint
 
 
 def constraint_fingerprint(task: TaskSpec) -> str:
     """SHA-256 identity of a task's constraint signature."""
-    return fingerprint_payload(constraint_payload(task))
+    return canonical_sha256(constraint_payload(task))
 
 
 def config_fingerprint(config: PlannerConfig) -> str:
     """SHA-256 identity of a planner configuration."""
-    return fingerprint_payload(config_payload(config))
+    return canonical_sha256(config_payload(config))
 
 
 def policy_key(
@@ -218,7 +238,7 @@ def policy_key(
     ``mode`` participates because course and trip episode semantics
     train different tables over identical-looking inputs.
     """
-    return fingerprint_payload(
+    return canonical_sha256(
         {
             "schema": FINGERPRINT_SCHEMA,
             "catalog": catalog_fingerprint(catalog),

@@ -209,6 +209,49 @@ class TestPolicyKey:
         assert out.stdout.strip() == toy_dataset.policy_key()
 
 
+class TestGoldenKeys:
+    """Keys minted before catalog hashing was memoized and moved off the
+    manifest's strip walk: artifacts already on disk are addressed by
+    these bytes, so they must not move."""
+
+    def test_catalog_fingerprint_literal(self):
+        assert catalog_fingerprint(_catalog()) == (
+            "60e117d5663fc449073dfde5847856852104be9180cb8aea790ce5471e737808"
+        )
+
+    def test_policy_key_literals(self):
+        from repro.datasets import load
+
+        dataset = load("toy", seed=0, with_gold=False)
+        catalog, task = dataset.catalog, dataset.task
+        assert policy_key(catalog, task, PlannerConfig(), DomainMode.COURSE) == (
+            "4115ffa5bcbeb346b0b53b3d7149415a6972065919f6702fdbff33804c166fc1"
+        )
+        tuned = PlannerConfig(candidate_top_k=4, seed=3)
+        assert policy_key(catalog, task, tuned, DomainMode.TRIP) == (
+            "9fb06497fe7e0e002efcb6df07376f6e0ba74d7e0286aebd3e52d6da81735c10"
+        )
+
+    def test_catalog_hashed_once_per_object(self, monkeypatch):
+        import repro.serving.fingerprint as fingerprint
+
+        hashed = []
+        payload = fingerprint.catalog_payload
+        monkeypatch.setattr(
+            fingerprint,
+            "catalog_payload",
+            lambda catalog: hashed.append(catalog) or payload(catalog),
+        )
+        catalog = _catalog()
+        first = catalog_fingerprint(catalog)
+        policy_key(catalog, make_task(), PlannerConfig())
+        assert catalog_fingerprint(catalog) == first
+        assert hashed == [catalog]
+        # An equal catalog is a different object: hashed anew, same key.
+        assert catalog_fingerprint(_catalog()) == first
+        assert len(hashed) == 2
+
+
 class TestCanonicalValue:
     def test_numpy_scalars_collapse(self):
         assert canonical_value(np.float64(1.5)) == 1.5
