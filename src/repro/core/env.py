@@ -144,36 +144,17 @@ class TPPEnvironment:
         result is bit-identical to the unpruned path (see
         ``RewardFunction.mask_actions_pruned_idx``).
         """
-        idx = self.valid_action_indices()
+        builder = self.builder
+        idx = builder.remaining_indices()
+        if self.mode is DomainMode.TRIP:
+            idx = affordable_indices(self.task, builder, idx)
         if not self.config.mask_invalid_actions:
             return idx
         top_k = self.config.candidate_top_k
         pruner = getattr(self.reward, "mask_actions_pruned_idx", None)
         if top_k is not None and pruner is not None and idx.size > top_k:
-            return pruner(self.builder, idx, top_k)
-        return self.reward.mask_actions(self.builder, idx)
-
-    def valid_action_indices(self) -> np.ndarray:
-        """Catalog indices of the raw (pre-mask) candidate set.
-
-        Unvisited items, restricted in trip mode to the affordable ones,
-        in ascending catalog order — exactly the order
-        ``remaining_items`` yields.
-        """
-        builder = self.builder
-        if self.mode is DomainMode.TRIP:
-            return self._affordable_indices(builder)
-        return builder.remaining_indices()
-
-    def _affordable_indices(self, builder: PlanBuilder) -> np.ndarray:
-        """Unvisited catalog indices whose visit time fits the budget.
-
-        Shared by :meth:`valid_actions` and :meth:`is_done` so the two
-        can never disagree about whether any affordable item remains.
-        """
-        return affordable_indices(
-            self.task, builder, builder.remaining_indices()
-        )
+            return pruner(builder, idx, top_k)
+        return self.reward.mask_actions(builder, idx)
 
     def step(self, item: Item) -> Tuple[float, bool]:
         """Take the action that appends ``item``; return (reward, done)."""
@@ -198,7 +179,8 @@ class TPPEnvironment:
         if len(builder) >= self.horizon:
             return True
         if self.mode is DomainMode.TRIP:
-            if self._affordable_indices(builder).size == 0:
+            remaining = builder.remaining_indices()
+            if affordable_indices(self.task, builder, remaining).size == 0:
                 return True
         return len(builder) >= len(self.catalog)
 

@@ -267,8 +267,8 @@ class _CatalogView:
 class _FeasibilityContext:
     """One step's feasibility pool, deciding every candidate in one pass.
 
-    Built once per step by :meth:`RewardFunction._feasibility_context`
-    from what :meth:`RewardFunction.feasibility_gate` recomputes per
+    Built once per step by :meth:`RewardFunction.feasible_mask` from
+    what :meth:`RewardFunction.feasibility_gate` recomputes per
     candidate: the reachable remaining pool (one CNF pass), its primary
     count and per-category credit aggregates, the ``(fixer, fixed)``
     pairs of unreachable items a candidate would unlock, and the
@@ -777,9 +777,7 @@ class RewardFunction:
         covered, gap_ok = self._gates(builder, cand_idx)
         feasible = np.zeros(cand_idx.size, dtype=bool)
         if gap_ok.any():
-            ctx = self._feasibility_context(builder)
-            if ctx is not None:
-                feasible[gap_ok] = ctx.decide(cand_idx[gap_ok])
+            feasible[gap_ok] = self.feasible_mask(builder, cand_idx[gap_ok])
         for tier in (feasible, gap_ok):
             kept = tier & covered
             if kept.any():
@@ -876,9 +874,8 @@ class RewardFunction:
         """
         covered, gap_ok = self._gates(builder, cand_idx)
         pool = cand_idx[covered & gap_ok]
-        ctx = self._feasibility_context(builder) if pool.size else None
-        if ctx is not None:
-            pool = pool[ctx.decide(pool)]
+        if pool.size:
+            pool = pool[self.feasible_mask(builder, pool)]
             if pool.size > top_k:
                 view = self._view(builder.catalog)
                 rewards = (
@@ -892,31 +889,17 @@ class RewardFunction:
                 return np.sort(pool)
         return self.mask_actions(builder, cand_idx)
 
-    def _feasibility_context(
-        self, builder: PlanBuilder
-    ) -> Optional[_FeasibilityContext]:
-        """This step's feasibility pool, or None when no slot remains
-        (every candidate infeasible)."""
+    def feasible_mask(
+        self, builder: PlanBuilder, cand_idx: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`feasibility_gate` of every candidate index, in one pass.
+
+        All False when no slot remains after this step.
+        """
         slots_after = self.task.hard.plan_length - (len(builder) + 1)
         if slots_after < 0:
-            return None
-        return _FeasibilityContext(self, builder, slots_after)
-
-    def feasible_mask(self, builder: PlanBuilder, candidates) -> np.ndarray:
-        """:meth:`feasibility_gate` over candidates (indices or Items)."""
-        if not isinstance(candidates, np.ndarray):
-            items = tuple(candidates)
-            candidates = _indices_of(builder.catalog, items)
-            if candidates is None:
-                return np.fromiter(
-                    (self.feasibility_gate(builder, item) for item in items),
-                    dtype=bool,
-                    count=len(items),
-                )
-        ctx = self._feasibility_context(builder)
-        if ctx is None:
-            return np.zeros(candidates.size, dtype=bool)
-        return ctx.decide(candidates)
+            return np.zeros(cand_idx.size, dtype=bool)
+        return _FeasibilityContext(self, builder, slots_after).decide(cand_idx)
 
     def batch_components(
         self, builder: PlanBuilder, candidates
@@ -979,24 +962,6 @@ class RewardFunction:
         O(|I| * (|I| + k*|IT|)).
         """
         return self.batch_components(builder, candidates)[3]
-
-    def reward_batch_multi(
-        self,
-        builders: Sequence[PlanBuilder],
-        cand_idx_lists: Sequence[np.ndarray],
-    ) -> List[np.ndarray]:
-        """Eq. 2 rewards for many (builder, candidate-set) pairs at once.
-
-        ``cand_idx_lists[e]`` holds catalog indices of episode ``e``'s
-        candidates; the result is :meth:`reward_batch` per episode.  Each
-        episode's gates are whole-catalog vectors computed once per step
-        of its builder, so the episode-batched learner pays one pass per
-        episode and step, not one per candidate.
-        """
-        return [
-            self.batch_components(builder, np.asarray(cand_idx, dtype=np.int64))[3]
-            for builder, cand_idx in zip(builders, cand_idx_lists)
-        ]
 
     # ------------------------------------------------------------------
     # Equation 2

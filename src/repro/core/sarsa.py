@@ -222,8 +222,8 @@ class SarsaLearner:
             global episode counter across them).
         episode_batch:
             Number of episodes rolled out concurrently, with each
-            round's reward-greedy action selections funnelled through a
-            single multi-episode reward call (``reward_batch_multi``).  The
+            round's reward-greedy action selections scored on catalog
+            indices (``batch_rewards`` per greedy slot).  The
             default 1 runs the original per-episode loop byte-for-byte.
             With N > 1 episodes are processed in fixed groups of N and
             each group advances in *slot-major rounds*; training is
@@ -402,10 +402,10 @@ class SarsaLearner:
         1. **step** — apply each slot's pending action.
         2. **selection** — the surviving slots choose their next actions
            together: first the exploration coin (and, if it fires, the
-           uniform pick) per slot in ascending order, then *one*
-           ``reward_batch_multi`` call scoring every greedy slot's
-           candidates, then the greedy tie-break draws in ascending slot
-           order.  All draws come from ``self._rng``.
+           uniform pick) per slot in ascending order, then, per greedy
+           slot in ascending order, one ``batch_rewards`` call scoring
+           its candidate indices followed by its tie-break draw.  All
+           draws come from ``self._rng``.
         3. **record** — each slot appends its transition
            ``(s, a, r, a')`` to a per-slot trace; no table write happens
            during the rollout.
@@ -548,12 +548,11 @@ class SarsaLearner:
         order ``valid_actions`` yields), and the chosen action comes
         back as a catalog index.  RNG order contract (all draws from
         ``self._rng``): exploration coins and uniform picks first, in
-        request order; then — for reward-greedy slots — one
-        ``reward_batch_multi`` call (no draws) followed by the tie-break
-        draws in request order.  Q-greedy slots draw their tie-breaks in
-        request order instead of the reward call.
+        request order; then — for reward-greedy slots, in request order —
+        one ``batch_rewards`` call over the slot's candidate indices (no
+        draws) and its tie-break draw.  Q-greedy slots draw their
+        tie-breaks in request order instead of the reward call.
         """
-        catalog = self.env.catalog
         chosen: List[int] = [-1] * len(requests)
         greedy: List[int] = []
         eps = self.config.exploration
@@ -575,30 +574,10 @@ class SarsaLearner:
                 )
             return chosen
 
-        multi = getattr(self.env.reward, "reward_batch_multi", None)
-        rewards_by_slot: Dict[int, np.ndarray] = {}
-        if multi is not None:
-            builders = [requests[j][0].builder for j in greedy]
-            idx_lists = [requests[j][2] for j in greedy]
-            with self._obs.span("sarsa.batch_rewards"):
-                rewards_list = multi(builders, idx_lists)
-            for j, rewards in zip(greedy, rewards_list):
-                rewards_by_slot[j] = rewards
-        else:
-            # Custom reward wrappers without the multi-episode entry point
-            # fall back to one batched call per slot.
-            for j in greedy:
-                env, s_idx, cand_idx = requests[j]
-                actions = tuple(
-                    catalog.item_at(int(i)) for i in cand_idx
-                )
-                with self._obs.span("sarsa.batch_rewards"):
-                    rewards_by_slot[j] = batch_rewards(
-                        env.reward, env.builder, actions
-                    )
         for j in greedy:
-            cand_idx = requests[j][2]
-            rewards = rewards_by_slot[j]
+            env, s_idx, cand_idx = requests[j]
+            with self._obs.span("sarsa.batch_rewards"):
+                rewards = batch_rewards(env.reward, env.builder, cand_idx)
             winners = np.flatnonzero(rewards == rewards.max())
             if winners.size == 1:
                 chosen[j] = int(cand_idx[int(winners[0])])

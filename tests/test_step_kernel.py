@@ -1,9 +1,9 @@
 """The vectorized step kernel must equal the per-item reference.
 
 At every step of a walk, over random universes, the kernel's masks and
-rewards — ``mask_actions`` and ``feasible_mask`` on catalog indices and
-on Items, the Eq. 2 batch, the top-k pruned tier, the feedback
-wrapper — must equal the scalar reference (``_mask_actions_scalar``,
+rewards — ``mask_actions`` on catalog indices and on Items,
+``feasible_mask`` on catalog indices, the Eq. 2 batch, the top-k pruned
+tier, the feedback wrapper — must equal the scalar reference (``_mask_actions_scalar``,
 ``feasibility_gate``, ``__call__``) exactly.  The universes mix OR-group
 prerequisites (some naming ids outside the catalog), category credit
 minima, trip budgets with distance and theme adjacency, a foreign
@@ -29,11 +29,14 @@ from repro.core.constraints import (
     SoftConstraints,
     TaskSpec,
 )
+from repro.core.env import TPPEnvironment
 from repro.core.items import Item, ItemType, Prerequisites, make_metadata
 from repro.core.plan import PlanBuilder
 from repro.core.policy import TIE_TOLERANCE, GreedyPolicy, _tied_best
 from repro.core.qtable import QTable, SparseQTable
 from repro.core.reward import RewardFunction, batch_rewards
+from repro.core.sarsa import SarsaLearner
+from repro.datasets.synthetic import generate_instance
 from repro.feedback.adapter import FeedbackAdjustedReward
 from repro.feedback.models import Feedback
 from repro.feedback.store import FeedbackStore
@@ -156,7 +159,6 @@ def _assert_step(reward, builder, cand_idx):
     assert tuple(catalog.item_at(i) for i in masked_idx.tolist()) == expected
     feasible = [reward.feasibility_gate(builder, item) for item in items]
     assert reward.feasible_mask(builder, cand_idx).tolist() == feasible
-    assert reward.feasible_mask(builder, items).tolist() == feasible
     scalar = np.array([reward(builder, item) for item in items])
     np.testing.assert_array_equal(
         batch_rewards(reward, builder, cand_idx), scalar
@@ -220,6 +222,29 @@ def test_feedback_wrapper_takes_the_index_form(universe, data):
             reward.mask_actions(builder, items)
         )
         builder.add(catalog.item_at(int(masked[0])))
+
+
+def test_batched_training_scores_wrappers_on_indices():
+    # An empty store leaves every reward unchanged, so episode-batched
+    # training through the wrapper must train the base reward's table,
+    # and every scoring call must receive catalog indices.
+    catalog, task = generate_instance(num_items=30, seed=4)
+    config = PlannerConfig(seed=21, exploration=0.3)
+    seen = []
+
+    class Recording(FeedbackAdjustedReward):
+        def reward_batch(self, builder, candidates):
+            seen.append(type(candidates))
+            return super().reward_batch(builder, candidates)
+
+    base = RewardFunction(task, config)
+    tables = []
+    for reward in (base, Recording(base, FeedbackStore(), reject_threshold=None)):
+        env = TPPEnvironment(catalog, task, config, reward=reward)
+        result = SarsaLearner(env, config).learn(episodes=8, episode_batch=4)
+        tables.append(result.qtable.to_entries())
+    assert tables[0] == tables[1]
+    assert seen and set(seen) == {np.ndarray}
 
 
 def _sequential_winners(totals):
