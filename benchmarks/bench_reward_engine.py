@@ -33,14 +33,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.catalog import Catalog
-from repro.core.config import PlannerConfig, RewardWeights
+from repro.core.config import PlannerConfig
 from repro.core.env import TPPEnvironment
-from repro.core.items import Item
 from repro.core.plan import PlanBuilder
 from repro.core.planner import RLPlanner
-from repro.core.policy import GreedyPolicy
-from repro.core.qtable import QTable, SparseQTable
+from repro.core.qtable import SparseQTable
 from repro.core.reward import RewardFunction, batch_rewards
 from repro.core.sarsa import SarsaLearner
 from repro.datasets.synthetic import SyntheticSpec, generate_instance
@@ -213,7 +210,6 @@ def _assert_pruning_bit_identity(
 def run_scale(
     sizes: Sequence[int] = DEFAULT_SCALE_SIZES,
     episodes: int = 8,
-    episode_batch: int = 8,
     seed: int = 0,
 ) -> List[Dict[str, object]]:
     """Large-catalog training: the sparse backend where dense cannot fit.
@@ -244,9 +240,7 @@ def run_scale(
             TPPEnvironment(catalog, task, config), config
         )
         t0 = time.perf_counter()
-        result = learner.learn(
-            episodes=episodes, episode_batch=episode_batch
-        )
+        result = learner.learn(episodes=episodes)
         train_s = time.perf_counter() - t0
         table = result.qtable
         assert isinstance(table, SparseQTable), (
@@ -257,7 +251,6 @@ def run_scale(
             {
                 "num_items": int(num_items),
                 "episodes": int(episodes),
-                "episode_batch": int(episode_batch),
                 "backend": type(table).__name__,
                 "generate_s": generate_s,
                 "train_s": train_s,
@@ -366,109 +359,6 @@ def run_backends(
     }
 
 
-def _tie_free_universe(num_items: int, seed: int):
-    """A synthetic universe whose Eq. 2 rewards never tie.
-
-    Every item gets its own category with a distinct category weight, so
-    ``delta*sim + beta*weight`` is injective over candidates.  With zero
-    exploration the behaviour policy then consumes no RNG inside
-    episodes, which is the regime where batched and sequential training
-    are byte-identical (see ``SarsaLearner._run_episode_batch``).
-    """
-    base, task = generate_instance(
-        num_items=num_items,
-        num_primary_items=max(12, num_items // 4),
-        seed=seed,
-    )
-    items = [
-        Item(
-            item_id=item.item_id,
-            name=item.name,
-            item_type=item.item_type,
-            credits=item.credits,
-            prerequisites=item.prerequisites,
-            topics=item.topics,
-            category=f"cat{rank:05d}",
-        )
-        for rank, item in enumerate(base)
-    ]
-    catalog = Catalog(
-        items,
-        name=f"tie-free-{num_items}",
-        topic_vocabulary=base.topic_vocabulary,
-    )
-    weights = RewardWeights(
-        category_weights=tuple(
-            (f"cat{rank:05d}", 1.0 + 1e-5 * rank)
-            for rank in range(len(items))
-        )
-    )
-    return catalog, task, weights
-
-
-def run_episode_batch(
-    num_items: int = 5_000,
-    episodes: int = 32,
-    episode_batch: int = 8,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Vectorized multi-episode training vs the per-episode loop.
-
-    Runs on a tie-free universe with zero exploration, where the
-    episode-batched path provably trains the byte-identical table —
-    asserted on ``to_entries()`` and on the recommended plan — so the
-    measured speedup buys *nothing but* wall clock.  Asserts >= 2x.
-    """
-    catalog, task, weights = _tie_free_universe(num_items, seed)
-    config = PlannerConfig(
-        seed=seed,
-        exploration=0.0,
-        qtable_backend="sparse",
-        mask_invalid_actions=False,
-        weights=weights,
-    )
-
-    def train(batch: int):
-        learner = SarsaLearner(
-            TPPEnvironment(catalog, task, config), config
-        )
-        t0 = time.perf_counter()
-        result = learner.learn(episodes=episodes, episode_batch=batch)
-        return time.perf_counter() - t0, result.qtable
-
-    train(1)  # warm caches (catalog columns, reward views)
-    sequential_s, sequential = train(1)
-    batched_s, batched = train(episode_batch)
-    assert sequential.to_entries() == batched.to_entries(), (
-        "episode-batched training diverged from the sequential loop "
-        "on a tie-free universe"
-    )
-    reward = RewardFunction(task, config)
-    start = catalog.item_ids[0]
-    plans = [
-        GreedyPolicy(table, task, reward=reward)
-        .recommend(start, require_trained=False)
-        .item_ids
-        for table in (sequential, batched)
-    ]
-    assert plans[0] == plans[1], "final recommended plans diverged"
-    speedup = sequential_s / batched_s
-    assert speedup >= 2.0, (
-        f"episode batching must be >= 2x at |I|={num_items}: "
-        f"{speedup:.2f}x"
-    )
-    return {
-        "num_items": int(num_items),
-        "episodes": int(episodes),
-        "episode_batch": int(episode_batch),
-        "sequential_s": sequential_s,
-        "batched_s": batched_s,
-        "speedup": speedup,
-        "tables_bit_identical": True,
-        "plans_identical": True,
-    }
-
-
 def render_scale(rows: Sequence[Dict[str, object]]) -> str:
     """Plain-text table of the large-catalog training rows."""
     lines = [
@@ -529,8 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         help="also run the large-catalog sections: sparse-backend "
         "training at --scale-sizes (with the in-bench pruning "
         "bit-identity check), the dense-vs-sparse backend "
-        "head-to-head, the episode-batched >= 2x speedup gate, and a "
-        "served plan at the smallest scale size",
+        "head-to-head, and a served plan at the smallest scale size",
     )
     parser.add_argument(
         "--scale-sizes", type=int, nargs="+",
@@ -563,19 +452,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             f"sparse {payload['qtable_backends']['sparse_train_s']:.2f}s "
             "(bit-identical entries asserted)"
         )
-        batch_size = min(args.scale_sizes)
-        payload["episode_batch"] = run_episode_batch(
-            num_items=batch_size, seed=args.seed
-        )
-        print(
-            f"episode batching at |I|={batch_size}: "
-            f"{payload['episode_batch']['speedup']:.2f}x "
-            "(>= 2x asserted, byte-identical table and plan)"
-        )
-        serving = run_serving(num_items=batch_size)
+        serving_size = min(args.scale_sizes)
+        serving = run_serving(num_items=serving_size)
         payload["serving"] = serving
         print(
-            f"served plan at |I|={batch_size}: "
+            f"served plan at |I|={serving_size}: "
             f"{serving['ms_per_plan_median']:.1f} ms median, "
             f"{serving['steps_per_plan']:.0f} steps, "
             f"{serving['candidates_per_step']:.0f} candidates per step"

@@ -12,22 +12,23 @@ asserted:
 * :class:`MonteCarloLearner` — first-visit MC control with constant-
   alpha returns (no bootstrapping).
 
-All three share :class:`SarsaLearner`'s episode plumbing (behaviour
-policy, start pools, diagnostics) and differ only in the update target,
-so the comparison bench isolates exactly the paper's design decision.
+All three run :class:`SarsaLearner`'s one episode loop (behaviour
+policy, start pools, diagnostics, the recorded transition trace) and
+override only its update rule — a one-line bootstrap for the two TD
+learners, the backward pass over returns for Monte Carlo — so the
+comparison bench isolates exactly the paper's design decision.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from .config import PlannerConfig
 from .env import TPPEnvironment
-from .items import Item
 from .qtable import QTableBase
-from .sarsa import ActionSelection, EpisodeStats, SarsaLearner
+from .sarsa import ActionSelection, SarsaLearner, Transition
 
 
 class QLearningLearner(SarsaLearner):
@@ -38,57 +39,14 @@ class QLearningLearner(SarsaLearner):
     bootstrapping.
     """
 
-    def _run_episode(
-        self, table: QTableBase, episode: int, start_id: str
-    ) -> EpisodeStats:
-        env = self.env
-        catalog = env.catalog
-        index_map = catalog.index_map
-        state = env.reset(start_id)
-        s_idx = index_map[state.item_id]
-        total_reward = 0.0
-        zero_steps = 0
-
-        while True:
-            actions = env.valid_actions()
-            if not actions:
-                break
-            action = self._choose_action(table, state, actions)
-            a_idx = index_map[action.item_id]
-            reward, done = env.step(action)
-            total_reward += reward
-            if reward == 0.0:
-                zero_steps += 1
-
-            if done:
-                table.td_update(
-                    s_idx, a_idx, reward, self.config.learning_rate
-                )
-                break
-            next_actions = env.valid_actions()
-            if not next_actions:
-                table.td_update(
-                    s_idx, a_idx, reward, self.config.learning_rate
-                )
-                break
-            next_indices = np.fromiter(
-                (index_map[item.item_id] for item in next_actions),
-                dtype=np.int64,
-                count=len(next_actions),
-            )
-            best_next = float(table.row_values(a_idx, next_indices).max())
-            target = reward + self.config.discount * best_next
-            table.td_update(s_idx, a_idx, target, self.config.learning_rate)
-            state = action
-            s_idx = a_idx
-
-        return EpisodeStats(
-            episode=episode,
-            start_item_id=start_id,
-            length=len(env.builder),
-            total_reward=total_reward,
-            zero_reward_steps=zero_steps,
-        )
+    def _bootstrap(
+        self,
+        table: QTableBase,
+        state: int,
+        candidates: np.ndarray,
+        action: int,
+    ) -> float:
+        return float(table.row_values(state, candidates).max())
 
 
 class ExpectedSarsaLearner(SarsaLearner):
@@ -99,129 +57,34 @@ class ExpectedSarsaLearner(SarsaLearner):
     greedy remainder), removing SARSA's sampling variance in the target.
     """
 
-    def _expected_value(
-        self, table: QTableBase, state: Item, actions: Sequence[Item]
+    def _bootstrap(
+        self,
+        table: QTableBase,
+        state: int,
+        candidates: np.ndarray,
+        action: int,
     ) -> float:
-        index_map = self.env.catalog.index_map
-        s_idx = index_map[state.item_id]
-        indices = np.fromiter(
-            (index_map[item.item_id] for item in actions),
-            dtype=np.int64,
-            count=len(actions),
-        )
-        values = table.row_values(s_idx, indices)
-        eps = self.config.exploration
+        values = table.row_values(state, candidates)
         if len(values) == 1:
             return float(values[0])
-        greedy = float(values.max())
-        uniform = float(values.mean())
-        return eps * uniform + (1.0 - eps) * greedy
-
-    def _run_episode(
-        self, table: QTableBase, episode: int, start_id: str
-    ) -> EpisodeStats:
-        env = self.env
-        catalog = env.catalog
-        index_map = catalog.index_map
-        state = env.reset(start_id)
-        s_idx = index_map[state.item_id]
-        total_reward = 0.0
-        zero_steps = 0
-
-        while True:
-            actions = env.valid_actions()
-            if not actions:
-                break
-            action = self._choose_action(table, state, actions)
-            a_idx = index_map[action.item_id]
-            reward, done = env.step(action)
-            total_reward += reward
-            if reward == 0.0:
-                zero_steps += 1
-
-            if done:
-                table.td_update(
-                    s_idx, a_idx, reward, self.config.learning_rate
-                )
-                break
-            next_actions = env.valid_actions()
-            if not next_actions:
-                table.td_update(
-                    s_idx, a_idx, reward, self.config.learning_rate
-                )
-                break
-            expected = self._expected_value(table, action, next_actions)
-            target = reward + self.config.discount * expected
-            table.td_update(s_idx, a_idx, target, self.config.learning_rate)
-            state = action
-            s_idx = a_idx
-
-        return EpisodeStats(
-            episode=episode,
-            start_item_id=start_id,
-            length=len(env.builder),
-            total_reward=total_reward,
-            zero_reward_steps=zero_steps,
-        )
+        eps = self.config.exploration
+        return eps * float(values.mean()) + (1.0 - eps) * float(values.max())
 
 
 class MonteCarloLearner(SarsaLearner):
     """First-visit constant-alpha Monte Carlo control.
 
-    The whole episode is rolled out first; each visited (state, action)
-    pair is then updated toward its observed discounted return.  No
-    bootstrapping — the textbook contrast to the TD learners above.
+    Each visited (state, action) pair is updated toward its observed
+    discounted return, computed backward over the recorded episode.  No
+    bootstrapping — the textbook contrast to the TD learners above.  An
+    episode never revisits a state, so every visit is a first visit.
     """
 
-    def _run_episode(
-        self, table: QTableBase, episode: int, start_id: str
-    ) -> EpisodeStats:
-        env = self.env
-        catalog = env.catalog
-        index_map = catalog.index_map
-        state = env.reset(start_id)
-        s_idx = index_map[state.item_id]
-        total_reward = 0.0
-        zero_steps = 0
-        trajectory: List[Tuple[int, int, float]] = []
-
-        while True:
-            actions = env.valid_actions()
-            if not actions:
-                break
-            action = self._choose_action(table, state, actions)
-            a_idx = index_map[action.item_id]
-            reward, done = env.step(action)
-            total_reward += reward
-            if reward == 0.0:
-                zero_steps += 1
-            trajectory.append((s_idx, a_idx, reward))
-            if done:
-                break
-            state = action
-            s_idx = a_idx
-
-        # Backward pass: discounted returns, first-visit updates.
+    def _update(self, table: QTableBase, trace: Sequence[Transition]) -> None:
         g = 0.0
-        seen: set = set()
-        returns: Dict[Tuple[int, int], float] = {}
-        for s_idx, a_idx, reward in reversed(trajectory):
+        for s_idx, a_idx, reward, _candidates, _next_idx in reversed(trace):
             g = reward + self.config.discount * g
-            returns[(s_idx, a_idx)] = g  # earliest visit wins (overwrites)
-        for (s_idx, a_idx), g_value in returns.items():
-            if (s_idx, a_idx) not in seen:
-                seen.add((s_idx, a_idx))
-                table.td_update(
-                    s_idx, a_idx, g_value, self.config.learning_rate
-                )
-
-        return EpisodeStats(
-            episode=episode,
-            start_item_id=start_id,
-            length=len(env.builder),
-            total_reward=total_reward,
-            zero_reward_steps=zero_steps,
-        )
+            table.td_update(s_idx, a_idx, g, self.config.learning_rate)
 
 
 LEARNERS: Dict[str, type] = {

@@ -45,7 +45,6 @@ Durability contract
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -57,7 +56,12 @@ from typing import Dict, List, Optional, Tuple
 from ..core.deltas import Delta, delta_from_payload
 from ..core.exceptions import ArtifactError, DeltaError
 from ..obs import get_registry
-from ..runner.manifest import PathLike, atomic_write_text, tolerant_stream_rows
+from ..runner.manifest import (
+    PathLike,
+    atomic_write_text,
+    canonical_sha256,
+    tolerant_stream_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -94,10 +98,16 @@ class _TornRecordError(ArtifactError):
 
 def record_checksum(seq: int, delta_payload: Dict[str, object]) -> str:
     """SHA-256 over the canonical (schema, seq, delta) triple."""
-    body = _canonical(
+    return canonical_sha256(
         {"schema": JOURNAL_SCHEMA, "seq": seq, "delta": delta_payload}
     )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def _snapshot_checksum(payload: Dict[str, object]) -> str:
+    """SHA-256 over a snapshot's canonical (schema, seq, state) triple."""
+    return canonical_sha256(
+        {key: payload.get(key) for key in ("schema", "seq", "state")}
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,11 +138,7 @@ class SnapshotState:
             "seq": self.seq,
             "state": self.state_payload(),
         }
-        body["checksum"] = hashlib.sha256(
-            _canonical(
-                {k: body[k] for k in ("schema", "seq", "state")}
-            ).encode("utf-8")
-        ).hexdigest()
+        body["checksum"] = _snapshot_checksum(body)
         return body
 
     @classmethod
@@ -147,14 +153,7 @@ class SnapshotState:
                 f"{source}: unsupported snapshot schema "
                 f"{payload.get('schema')!r} (expected {JOURNAL_SCHEMA})"
             )
-        expected = hashlib.sha256(
-            _canonical(
-                {
-                    k: payload.get(k)
-                    for k in ("schema", "seq", "state")
-                }
-            ).encode("utf-8")
-        ).hexdigest()
+        expected = _snapshot_checksum(payload)
         if payload.get("checksum") != expected:
             raise ArtifactError(
                 f"{source}: snapshot checksum mismatch "

@@ -307,6 +307,43 @@ class TestJournalFile:
             )
 
 
+class TestChecksumStability:
+    """Checksums written by earlier builds must still verify.
+
+    Both literals were computed by the hand-rolled canonical-JSON hashing
+    the journal used before it called ``canonical_sha256``.
+    """
+
+    def test_record_checksum_is_stable(self):
+        delta = _delta(DELTA_CREDIT_CHANGE, "c2", seq=7, credits=4.5)
+        assert record_checksum(7, delta.to_dict()) == (
+            "7fdd8c531b547a875dcb5eb264436078937955a5e37c9814cd65c24ac6e554e4"
+        )
+
+    def test_snapshot_checksum_is_stable(self):
+        state = SnapshotState(
+            closed=("c1", "c3"),
+            credit_overrides={"c2": 4.5},
+            version=5,
+            seq=7,
+        )
+        stored = {
+            "schema": 1,
+            "seq": 7,
+            "state": {
+                "closed": ["c1", "c3"],
+                "credit_overrides": {"c2": 4.5},
+                "version": 5,
+            },
+            "checksum": (
+                "e39e99f3c6d0b66293a9a8833cca065a"
+                "39b62ce075da4398c7e01e9b1cc7d766"
+            ),
+        }
+        assert state.to_dict() == stored
+        assert SnapshotState.from_dict(stored, "stored") == state
+
+
 class TestFacadeDurability:
     def test_attach_empty_journal_serves_pristine(self, tmp_path, service):
         recovery = service.attach_journal(DeltaJournal(tmp_path))

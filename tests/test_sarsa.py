@@ -1,5 +1,6 @@
 """Unit tests for the SARSA learner (repro.core.sarsa)."""
 
+import numpy as np
 import pytest
 
 from repro.core.catalog import Catalog
@@ -118,8 +119,8 @@ class _TwoSeedDeadEnv(TPPEnvironment):
         self.builder.add(self.catalog["p2"])
         return item
 
-    def valid_actions(self):
-        return ()
+    def action_indices(self):
+        return np.empty(0, dtype=np.int64)
 
 
 class TestDeadStartEpisodes:

@@ -30,7 +30,6 @@ from repro.core.catalog import Catalog
 from repro.core.config import PlannerConfig
 from repro.core.env import DomainMode, TPPEnvironment
 from repro.core.exceptions import ConstraintError, PlanningError
-from repro.core.learners import QLearningLearner
 from repro.core.policy import GreedyPolicy
 from repro.core.qtable import (
     QTable,
@@ -58,11 +57,11 @@ def catalog() -> Catalog:
     return Catalog([make_item(i) for i in ("a", "b", "c", "d")])
 
 
-def _train(catalog, task, config, episodes=6, episode_batch=1,
+def _train(catalog, task, config, episodes=6,
            selection=ActionSelection.REWARD_GREEDY):
     env = TPPEnvironment(catalog, task, config)
     learner = SarsaLearner(env, config, selection=selection)
-    return learner.learn(episodes=episodes, episode_batch=episode_batch)
+    return learner.learn(episodes=episodes)
 
 
 class TestBackendSelection:
@@ -286,66 +285,6 @@ class TestPruningBitIdentity:
             PlannerConfig(candidate_top_k=6, **base), episodes=4,
         )
         assert full.qtable.to_entries() == pruned.qtable.to_entries()
-
-
-class TestEpisodeBatching:
-    def _instance(self):
-        return generate_instance(num_items=30, seed=4)
-
-    def test_batch_of_one_is_byte_identical(self):
-        catalog, task = self._instance()
-        cfg = PlannerConfig(seed=13, exploration=0.2)
-        legacy = _train(catalog, task, cfg, episodes=6, episode_batch=1)
-        default = _train(catalog, task, cfg, episodes=6)
-        assert legacy.qtable.to_entries() == default.qtable.to_entries()
-        assert (
-            legacy.qtable.update_count == default.qtable.update_count
-        )
-
-    @pytest.mark.parametrize("batch", (2, 4))
-    def test_batched_training_is_deterministic(self, batch):
-        catalog, task = self._instance()
-        cfg = PlannerConfig(seed=21, exploration=0.3)
-        first = _train(catalog, task, cfg, episodes=8, episode_batch=batch)
-        second = _train(catalog, task, cfg, episodes=8, episode_batch=batch)
-        assert first.qtable.to_entries() == second.qtable.to_entries()
-        assert first.qtable.update_count == second.qtable.update_count
-        assert len(first.stats) == len(second.stats)
-
-    def test_batched_training_learns(self):
-        catalog, task = self._instance()
-        cfg = PlannerConfig(seed=21, exploration=0.3)
-        result = _train(catalog, task, cfg, episodes=8, episode_batch=4)
-        assert result.qtable.update_count > 0
-        assert result.qtable.to_entries()
-
-    def test_batch_requires_positive(self):
-        catalog, task = self._instance()
-        cfg = PlannerConfig(seed=0)
-        env = TPPEnvironment(catalog, task, cfg)
-        with pytest.raises(PlanningError):
-            SarsaLearner(env, cfg).learn(episodes=2, episode_batch=0)
-
-    def test_subclasses_reject_batching(self):
-        catalog, task = self._instance()
-        cfg = PlannerConfig(seed=0)
-        env = TPPEnvironment(catalog, task, cfg)
-        learner = QLearningLearner(env, cfg)
-        with pytest.raises(PlanningError):
-            learner.learn(episodes=2, episode_batch=2)
-
-    def test_q_greedy_selection_batched(self):
-        catalog, task = self._instance()
-        cfg = PlannerConfig(seed=5, exploration=0.1)
-        result = _train(
-            catalog, task, cfg, episodes=6, episode_batch=3,
-            selection=ActionSelection.Q_GREEDY,
-        )
-        again = _train(
-            catalog, task, cfg, episodes=6, episode_batch=3,
-            selection=ActionSelection.Q_GREEDY,
-        )
-        assert result.qtable.to_entries() == again.qtable.to_entries()
 
 
 class TestSparseTrainingUsesConfigBackend:

@@ -225,9 +225,9 @@ def test_feedback_wrapper_takes_the_index_form(universe, data):
 
 
 def test_batched_training_scores_wrappers_on_indices():
-    # An empty store leaves every reward unchanged, so episode-batched
-    # training through the wrapper must train the base reward's table,
-    # and every scoring call must receive catalog indices.
+    # An empty store leaves every reward unchanged, so training through
+    # the wrapper must train the base reward's table, and every scoring
+    # call must receive catalog indices.
     catalog, task = generate_instance(num_items=30, seed=4)
     config = PlannerConfig(seed=21, exploration=0.3)
     seen = []
@@ -241,7 +241,7 @@ def test_batched_training_scores_wrappers_on_indices():
     tables = []
     for reward in (base, Recording(base, FeedbackStore(), reject_threshold=None)):
         env = TPPEnvironment(catalog, task, config, reward=reward)
-        result = SarsaLearner(env, config).learn(episodes=8, episode_batch=4)
+        result = SarsaLearner(env, config).learn(episodes=8)
         tables.append(result.qtable.to_entries())
     assert tables[0] == tables[1]
     assert seen and set(seen) == {np.ndarray}
