@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import render_table
 from repro.core.env import DomainMode
 from repro.datasets import load
-from repro.group import AggregationStrategy, GroupMember, GroupPlanner
+from repro.group import GroupMember, GroupPlanner
 
 EPISODES = 200
 

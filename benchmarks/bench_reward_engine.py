@@ -49,7 +49,8 @@ DEFAULT_SCALE_SIZES = (5_000, 20_000, 50_000)
 
 
 def _make_step(num_items: int, seed: int = 0):
-    """One mid-episode learning step: a partial plan plus candidates."""
+    """One mid-episode learning step: a partial plan plus candidate
+    indices."""
     catalog, task = generate_instance(
         num_items=num_items,
         num_primary_items=max(12, num_items // 4),
@@ -61,10 +62,10 @@ def _make_step(num_items: int, seed: int = 0):
     # non-trivial (mirrors the hot loop a few steps into an episode).
     builder.add(catalog.item_at(0))
     for _ in range(3):
-        candidates = builder.remaining_items()
+        candidates = builder.remaining_indices()
         scores = reward.reward_batch(builder, candidates)
-        builder.add(candidates[int(np.argmax(scores))])
-    return reward, builder, builder.remaining_items()
+        builder.add(catalog.item_at(int(candidates[int(np.argmax(scores))])))
+    return reward, builder, builder.remaining_indices()
 
 
 def _time_call(fn, repeats: int) -> float:
@@ -86,9 +87,10 @@ def run(
     results: List[Dict[str, float]] = []
     for num_items in sizes:
         reward, builder, candidates = _make_step(num_items, seed=seed)
+        items = [builder.catalog.item_at(i) for i in candidates.tolist()]
 
         def scalar() -> List[float]:
-            return [reward(builder, item) for item in candidates]
+            return [reward(builder, item) for item in items]
 
         def batched() -> np.ndarray:
             return reward.reward_batch(builder, candidates)
@@ -166,8 +168,8 @@ def _assert_pruning_bit_identity(
 
     Walks ``steps`` reward-greedy steps with two environments over the
     same universe — one with ``candidate_top_k`` set, one without — and
-    asserts the exact argmax winner *sets* (ids, in order) agree at
-    every step.  Returns the number of steps compared.
+    asserts the exact argmax winner *sets* (catalog indices, in order)
+    agree at every step.  Returns the number of steps compared.
     """
     env_full = TPPEnvironment(catalog, task, PlannerConfig())
     env_pruned = TPPEnvironment(
@@ -179,30 +181,23 @@ def _assert_pruning_bit_identity(
     for _ in range(steps):
         if env_full.is_done():
             break
-        full = env_full.valid_actions()
-        pruned = env_pruned.valid_actions()
-        if not full:
-            assert not pruned
+        full = env_full.action_indices()
+        pruned = env_pruned.action_indices()
+        if not full.size:
+            assert not pruned.size
             break
         r_full = batch_rewards(env_full.reward, env_full.builder, full)
         r_pruned = batch_rewards(
             env_pruned.reward, env_pruned.builder, pruned
         )
-        winners_full = [
-            full[i].item_id
-            for i in np.flatnonzero(r_full == r_full.max())
-        ]
-        winners_pruned = [
-            pruned[i].item_id
-            for i in np.flatnonzero(r_pruned == r_pruned.max())
-        ]
+        winners_full = full[r_full == r_full.max()].tolist()
+        winners_pruned = pruned[r_pruned == r_pruned.max()].tolist()
         assert winners_pruned == winners_full, (
             f"pruned argmax diverged at step {compared}: "
             f"{winners_pruned[:3]} vs {winners_full[:3]}"
         )
-        chosen = catalog[winners_full[0]]
-        env_full.step(chosen)
-        env_pruned.step(chosen)
+        env_full.step(winners_full[0])
+        env_pruned.step(winners_full[0])
         compared += 1
     return compared
 

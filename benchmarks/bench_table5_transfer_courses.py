@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis import render_table, run_transfer
 from repro.baselines import RandomPlanner
-from repro.core.planner import RLPlanner
 from repro.core.scoring import PlanScorer
 from repro.datasets import load
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..core.catalog import Catalog
-from ..core.constraints import TaskSpec
+from ..core.constraints import CREDIT_TOLERANCE, TaskSpec
 from ..core.env import DomainMode
 
 
@@ -109,7 +109,7 @@ def diagnose(
             (item.credits for item in catalog), reverse=True
         )[:plan_length]
         achievable = sum(top_credits)
-        if achievable < hard.min_credits - 1e-9:
+        if achievable < hard.min_credits - CREDIT_TOLERANCE:
             findings.append(
                 Finding(
                     code="credit_ceiling",
@@ -133,7 +133,7 @@ def diagnose(
         )[:n_secondary]
         cheapest = sum(primary_costs) + sum(secondary_costs)
         if len(primary_costs) + len(secondary_costs) == plan_length and (
-            cheapest > hard.min_credits + 1e-9
+            cheapest > hard.min_credits + CREDIT_TOLERANCE
         ):
             findings.append(
                 Finding(
@@ -154,7 +154,7 @@ def diagnose(
     for category, minimum in sorted(hard.category_credit_map.items()):
         pool = catalog.in_category(category)
         supply = sum(item.credits for item in pool)
-        if supply < minimum - 1e-9:
+        if supply < minimum - CREDIT_TOLERANCE:
             findings.append(
                 Finding(
                     code="category_supply",

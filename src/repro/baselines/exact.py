@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.catalog import Catalog
-from ..core.constraints import TaskSpec
+from ..core.constraints import CREDIT_TOLERANCE, TaskSpec
 from ..core.env import DomainMode
 from ..core.exceptions import PlanningError
 from ..core.items import Item, ItemType
@@ -135,7 +135,8 @@ class ExactPlanner(BaselinePlanner):
                 continue
             if self.mode is DomainMode.TRIP:
                 used = sum(i.credits for i in chosen)
-                if used + item.credits > self.task.hard.min_credits + 1e-9:
+                budget = self.task.hard.min_credits
+                if used + item.credits > budget + CREDIT_TOLERANCE:
                     continue
                 if chosen and (chosen[-1].topics & item.topics):
                     continue

@@ -97,6 +97,17 @@ class InterleavingTemplate:
         return " | ".join(short(p) for p in self.permutations)
 
 
+#: Slack on every credit comparison against :class:`HardConstraints` —
+#: the credit minimum or trip time budget, and the category minima.
+#: Earned credits and visit times are float sums, so a total within this
+#: band of the bound counts as meeting it.
+CREDIT_TOLERANCE = 1e-9
+
+#: Slack (km) on the trip distance budget: travelled distance is a float
+#: sum of haversine legs.
+DISTANCE_TOLERANCE_KM = 1e-9
+
+
 @dataclass(frozen=True)
 class HardConstraints:
     """``P_hard = <#cr, #primary, #secondary, gap>`` plus domain extras.

@@ -27,11 +27,11 @@ import numpy as np
 from ..obs import get_registry
 from .catalog import Catalog
 from .config import PlannerConfig
-from .constraints import TaskSpec
+from .constraints import CREDIT_TOLERANCE, TaskSpec
 from .exceptions import PlanningError
 from .items import Item
 from .plan import Plan, PlanBuilder
-from .reward import RewardFunction
+from .reward import RewardFunction, batch_rewards
 
 
 class DomainMode(enum.Enum):
@@ -44,12 +44,6 @@ class DomainMode(enum.Enum):
         return self.value
 
 
-#: Absolute tolerance for trip-mode budget comparisons.  Visit times are
-#: sums of floats, so an item whose cost lands within this band of the
-#: remaining budget still counts as affordable.
-BUDGET_TOLERANCE = 1e-9
-
-
 def affordable_indices(
     task: TaskSpec, builder: PlanBuilder, candidates: np.ndarray
 ) -> np.ndarray:
@@ -57,11 +51,12 @@ def affordable_indices(
 
     The single trip-mode budget rule, shared by the environment and the
     greedy recommender: an item is affordable when its cost is within
-    :data:`BUDGET_TOLERANCE` of what the plan has left.
+    :data:`~repro.core.constraints.CREDIT_TOLERANCE` of what the plan
+    has left.
     """
     budget_left = task.hard.min_credits - builder.total_credits
     credits = builder.catalog.columns.credits[candidates]
-    return candidates[credits <= budget_left + BUDGET_TOLERANCE]
+    return candidates[credits <= budget_left + CREDIT_TOLERANCE]
 
 
 class TPPEnvironment:
@@ -92,7 +87,8 @@ class TPPEnvironment:
         self.config = config
         self.mode = mode
         # A custom reward (e.g. the feedback-adjusted wrapper) may be
-        # injected; it must expose the RewardFunction interface.
+        # injected; it must expose the step kernel's index entries,
+        # ``mask_actions`` and ``reward_batch``.
         self.reward = reward if reward is not None else RewardFunction(
             task, config
         )
@@ -122,26 +118,18 @@ class TPPEnvironment:
             raise PlanningError("environment not reset; call reset() first")
         return self._builder
 
-    def valid_actions(self) -> Tuple[Item, ...]:
-        """Items that may legally extend the current episode.
+    def action_indices(self) -> np.ndarray:
+        """Catalog indices that may legally extend the current episode.
 
         Courses: any unvisited item.  Trips: any unvisited item whose
         visit time fits the remaining budget.  When
-        ``config.mask_invalid_actions`` is on, items failing the Eq. 3/4
-        gates (theta = 0) are additionally excluded — unless that leaves
-        nothing, in which case the unmasked set is returned so episodes
-        never deadlock.  The Items of :meth:`action_indices`.
-        """
-        item_at = self.catalog.item_at
-        return tuple(item_at(i) for i in self.action_indices().tolist())
-
-    def action_indices(self) -> np.ndarray:
-        """Catalog indices of :meth:`valid_actions`, in the same order.
-
-        With ``config.candidate_top_k`` set (and a reward exposing the
-        pruned path) the masked set is cut to the top-k candidates by
-        reward, every boundary tie kept — the greedy argmax over the
-        result is bit-identical to the unpruned path (see
+        ``config.mask_invalid_actions`` is on, the reward's tiered mask
+        drops items failing the Eq. 3/4 gates (theta = 0) — unless that
+        leaves nothing, so episodes never deadlock.  With
+        ``config.candidate_top_k`` set (and a reward exposing the pruned
+        path) the masked set is cut to the top-k candidates by reward,
+        every boundary tie kept — the greedy argmax over the result is
+        bit-identical to the unpruned path (see
         ``RewardFunction.mask_actions_pruned_idx``).
         """
         builder = self.builder
@@ -156,16 +144,29 @@ class TPPEnvironment:
             return pruner(builder, idx, top_k)
         return self.reward.mask_actions(builder, idx)
 
-    def step(self, item: Item) -> Tuple[float, bool]:
-        """Take the action that appends ``item``; return (reward, done)."""
+    def step(self, action: int) -> Tuple[float, bool]:
+        """Append the item at catalog index ``action``; return
+        (reward, done).
+
+        The reward is the step kernel's Eq. 2 for that one index
+        (:func:`~repro.core.reward.batch_rewards`) on the prefix before
+        the item lands.  The kernel memoizes a state's r1/r2 vectors on
+        the builder, so the mask that offered the action has already
+        paid for them.
+        """
         builder = self.builder
+        item = self.catalog.item_at(action)
         if builder.contains(item.item_id):
             raise PlanningError(
                 f"item {item.item_id!r} already visited this episode"
             )
         obs = get_registry()
         with obs.span("env.step"):
-            reward = self.reward(builder, item)
+            reward = float(
+                batch_rewards(
+                    self.reward, builder, np.array([action], dtype=np.int64)
+                )[0]
+            )
             builder.add(item)
             done = self.is_done()
         obs.inc("env_steps_total")

@@ -199,17 +199,11 @@ class GreedyPolicy:
     def _q_only_choice(self, current: str, cand_idx: np.ndarray) -> int:
         """Literal Algorithm-1 argmax of the stored Q row.
 
-        Runs on catalog indices (``best_action_idx``); the id-based
-        ``best_action`` — same winner set, order, and tie-break draws —
-        remains the path when ``current`` is a foreign prefix item
-        outside the catalog index.
+        A foreign prefix item (``current`` outside the catalog index)
+        has no row: it reads as a never-visited state, so every
+        candidate ties and ``best_action_idx``'s tie-break picks.
         """
-        catalog = self.catalog
-        state_idx = catalog.index_map.get(current)
-        if state_idx is None:
-            ids = [catalog.item_at(i).item_id for i in cand_idx.tolist()]
-            chosen = self.qtable.best_action(current, ids, rng=self._rng)
-            return catalog.index_of(chosen)
+        state_idx = self.catalog.index_map.get(current)
         return self.qtable.best_action_idx(state_idx, cand_idx, rng=self._rng)
 
     def _lookahead_choice(

@@ -23,7 +23,7 @@ backends are bit-identical everywhere except raw storage.  Use
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,7 +204,7 @@ class QTableBase:
 
     def best_action_idx(
         self,
-        state_idx: int,
+        state_idx: Optional[int],
         allowed_idx: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> int:
@@ -214,14 +214,19 @@ class QTableBase:
         calling :meth:`best_action` (same NaN handling, same winner set
         and order, same number of rng draws) but operating directly on
         catalog indices, so the traversal never rebuilds id lists.
-        Returns the chosen *catalog index*.
+        Returns the chosen *catalog index*.  ``state_idx`` None is a
+        state the table does not index (a foreign plan item): it reads
+        as a never-visited row, so every allowed action ties.
         """
         allowed_idx = np.asarray(allowed_idx, dtype=np.int64)
         if allowed_idx.size == 0:
             raise PlanningError(
                 f"no allowed actions from state index {state_idx}"
             )
-        row = self.row_values(int(state_idx), allowed_idx)
+        if state_idx is None:
+            row = np.zeros(allowed_idx.size)
+        else:
+            row = self.row_values(int(state_idx), allowed_idx)
         nan = np.isnan(row)
         if nan.all():
             winners = np.arange(allowed_idx.size)

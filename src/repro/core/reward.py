@@ -19,22 +19,26 @@ where
   items (``w1 > w2``), generalized to per-category weights w1..w6 for the
   Univ-2 six-sub-discipline requirement.
 
-This module exposes both the individual components (so tests and the
-EDA baseline can reuse them) and a :class:`RewardFunction` that binds a
-catalog + task + config into a single callable.
+A :class:`RewardFunction` binds a task + config.  Its step kernel
+(:meth:`~RewardFunction.mask_actions`,
+:meth:`~RewardFunction.batch_components`) takes catalog index arrays and
+is the one Eq. 2 the program runs; the per-item components
+(:meth:`~RewardFunction.breakdown` and the gates) are the reference the
+tests hold the kernel to, and the per-step table of
+:mod:`repro.analysis.explain`.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .catalog import Catalog
 from .config import PlannerConfig
-from .constraints import TaskSpec
+from .constraints import CREDIT_TOLERANCE, DISTANCE_TOLERANCE_KM, TaskSpec
 from .items import Item
 from .plan import PlanBuilder
 from .similarity import aggregate_similarity
@@ -59,15 +63,6 @@ class RewardBreakdown:
     def theta(self) -> int:
         """The multiplicative gate ``theta = r1 * r2`` (Eq. 5)."""
         return self.r1_coverage * self.r2_gap
-
-
-#: Slack on the category credit minima: a shortfall at or below it counts
-#: as met, since earned credits are float sums.
-CREDIT_TOLERANCE = 1e-9
-
-#: Slack (km) on the trip distance budget: travelled distance is a float
-#: sum of haversine legs.
-DISTANCE_TOLERANCE_KM = 1e-9
 
 
 class _PrereqIndex:
@@ -721,8 +716,8 @@ class RewardFunction:
         return total <= max_distance + DISTANCE_TOLERANCE_KM
 
     def _mask_actions_scalar(self, builder: PlanBuilder, candidates) -> tuple:
-        """Per-item tier cascade: the reference :meth:`mask_actions`
-        equals, and its path for candidates outside the catalog index."""
+        """Per-item tier cascade over Items: the reference
+        :meth:`mask_actions` must equal."""
         gap_ok = tuple(
             item for item in candidates if self.gap_gate(builder, item)
         )
@@ -743,7 +738,9 @@ class RewardFunction:
     # The step kernel: one step, every candidate, over catalog indices
     # ------------------------------------------------------------------
 
-    def mask_actions(self, builder: PlanBuilder, candidates):
+    def mask_actions(
+        self, builder: PlanBuilder, candidates: np.ndarray
+    ) -> np.ndarray:
         """Tiered action masking used by the environment and recommender.
 
         Hard-constraint feasibility dominates the (soft) topic-coverage
@@ -755,20 +752,11 @@ class RewardFunction:
         4. r2,
         5. everything               (episodes never deadlock).
 
-        ``candidates`` is a catalog index array (the kept indices come
-        back, in input order) or a sequence of Items (the kept Items come
-        back as a tuple).  Either way one vectorized pass decides every
-        candidate (:meth:`_tier_mask`); only Items outside the catalog
-        index take the per-item :meth:`_mask_actions_scalar`.
+        ``candidates`` is a catalog index array; the kept indices come
+        back in input order, decided in one vectorized pass
+        (:meth:`_tier_mask`).
         """
-        if isinstance(candidates, np.ndarray):
-            return candidates[self._tier_mask(builder, candidates)]
-        candidates = tuple(candidates)
-        cand_idx = _indices_of(builder.catalog, candidates)
-        if cand_idx is None:
-            return self._mask_actions_scalar(builder, candidates)
-        keep = self._tier_mask(builder, cand_idx).tolist()
-        return tuple(item for item, ok in zip(candidates, keep) if ok)
+        return candidates[self._tier_mask(builder, candidates)]
 
     def _tier_mask(
         self, builder: PlanBuilder, cand_idx: np.ndarray
@@ -846,13 +834,17 @@ class RewardFunction:
 
         Every candidate extends the same prefix at the same position, so
         only two values exist — one per item type — each O(|IT|) through
-        the builder's incremental state; 0 beyond the template horizon.
+        the builder's incremental state and memoized for the step (the
+        behaviour policy's batch and the env's one-index step score the
+        same state); 0 beyond the template horizon.
         """
         template = self.task.soft.template
         if len(builder) + 1 > template.length:
             return np.zeros(cand_idx.size, dtype=np.float64)
         state = builder.similarity_state(template, self.config.similarity)
-        sim_primary, sim_secondary = state.peek_types()
+        sim_primary, sim_secondary = builder.step_memo(
+            (state, "peek"), state.peek_types
+        )
         return np.where(
             view.cols.primary_mask[cand_idx], sim_primary, sim_secondary
         )
@@ -902,23 +894,15 @@ class RewardFunction:
         return _FeasibilityContext(self, builder, slots_after).decide(cand_idx)
 
     def batch_components(
-        self, builder: PlanBuilder, candidates
+        self, builder: PlanBuilder, cand_idx: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized Eq. 2 components for every candidate.
+        """Vectorized Eq. 2 components for every candidate index.
 
         Returns ``(theta, similarity, type_weight, total)`` arrays
-        aligned with ``candidates`` (catalog indices or Items); values
-        equal the per-item :meth:`breakdown` fields exactly (the
-        equality is pinned by tests).  Items outside the catalog index
-        are scored per item.
+        aligned with ``cand_idx``; values equal the per-item
+        :meth:`breakdown` fields exactly (the equality is pinned by
+        tests).
         """
-        if isinstance(candidates, np.ndarray):
-            cand_idx = candidates
-        else:
-            candidates = tuple(candidates)
-            cand_idx = _indices_of(builder.catalog, candidates)
-            if cand_idx is None:
-                return self._batch_components_scalar(builder, candidates)
         view = self._view(builder.catalog)
         covered, gap_ok = self._gates(builder, cand_idx)
         theta = covered & gap_ok
@@ -937,31 +921,17 @@ class RewardFunction:
         )
         return theta, sims, weights, totals
 
-    def _batch_components_scalar(
-        self, builder: PlanBuilder, candidates: Tuple[Item, ...]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fallback path when candidates are outside the catalog index."""
-        n = len(candidates)
-        theta = np.zeros(n, dtype=bool)
-        sims = np.zeros(n, dtype=np.float64)
-        weights = np.zeros(n, dtype=np.float64)
-        totals = np.zeros(n, dtype=np.float64)
-        for j, item in enumerate(candidates):
-            b = self.breakdown(builder, item)
-            theta[j] = b.theta != 0
-            sims[j] = b.similarity
-            weights[j] = b.type_weight
-            totals[j] = b.total
-        return theta, sims, weights, totals
+    def reward_batch(
+        self, builder: PlanBuilder, cand_idx: np.ndarray
+    ) -> np.ndarray:
+        """Equation-2 rewards for all candidate indices as one float64
+        vector.
 
-    def reward_batch(self, builder: PlanBuilder, candidates) -> np.ndarray:
-        """Equation-2 rewards for all candidates as one float64 vector.
-
-        Semantically identical to ``[self(builder, c) for c in
-        candidates]`` but O(|I|) per step instead of
+        Equal to ``[self(builder, catalog.item_at(i)) for i in
+        cand_idx]`` but O(|I|) per step instead of
         O(|I| * (|I| + k*|IT|)).
         """
-        return self.batch_components(builder, candidates)[3]
+        return self.batch_components(builder, cand_idx)[3]
 
     # ------------------------------------------------------------------
     # Equation 2
@@ -1015,36 +985,13 @@ class RewardFunction:
         )
 
 
-def _indices_of(
-    catalog: Catalog, items: Sequence[Item]
-) -> Optional[np.ndarray]:
-    """Catalog indices of ``items``, or None when any is foreign."""
-    index_map = catalog.index_map
-    out = np.empty(len(items), dtype=np.int64)
-    for j, item in enumerate(items):
-        idx = index_map.get(item.item_id)
-        if idx is None:
-            return None
-        out[j] = idx
-    return out
+def batch_rewards(
+    reward, builder: PlanBuilder, cand_idx: np.ndarray
+) -> np.ndarray:
+    """Eq. 2 of every candidate index through ``reward.reward_batch``.
 
-
-def batch_rewards(reward, builder: PlanBuilder, candidates) -> np.ndarray:
-    """Score all candidates in one shot, whatever the reward object is.
-
-    Uses ``reward.reward_batch`` when the callable provides it (the
-    vectorized engine) and falls back to a per-item loop for plain
-    RewardFunction-compatible callables (e.g. test doubles), so every
-    hot-loop call site can switch to batch scoring unconditionally.
-    ``candidates`` are catalog indices or Items.
+    The one scoring entry of training, serving and EDA: the env's step,
+    the behaviour policy, the greedy traversal and the EDA baseline all
+    call it, for the base reward and its wrappers alike.
     """
-    batch = getattr(reward, "reward_batch", None)
-    if batch is not None:
-        return batch(builder, candidates)
-    if isinstance(candidates, np.ndarray):
-        candidates = [builder.catalog.item_at(i) for i in candidates.tolist()]
-    return np.fromiter(
-        (reward(builder, item) for item in candidates),
-        dtype=np.float64,
-        count=len(candidates),
-    )
+    return reward.reward_batch(builder, cand_idx)

@@ -242,7 +242,7 @@ class SarsaLearner:
         total_reward = 0.0
         zero_steps = 0
         while a_idx is not None:
-            reward, done = env.step(catalog.item_at(a_idx))
+            reward, done = env.step(a_idx)
             self._obs.inc("sarsa_steps_total")
             total_reward += reward
             if reward == 0.0:

@@ -25,7 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .constraints import HardConstraints
+from .constraints import (
+    CREDIT_TOLERANCE,
+    DISTANCE_TOLERANCE_KM,
+    HardConstraints,
+)
 from .items import Item
 from .plan import Plan
 
@@ -143,7 +147,7 @@ class PlanValidator:
     def _check_credits(self, plan: Plan, out: List[Violation]) -> None:
         total = plan.total_credits
         if self.credits_are_budget:
-            if total > self.hard.min_credits + 1e-9:
+            if total > self.hard.min_credits + CREDIT_TOLERANCE:
                 out.append(
                     Violation(
                         "time_budget",
@@ -151,7 +155,7 @@ class PlanValidator:
                         f"{self.hard.min_credits:g}",
                     )
                 )
-        elif total < self.hard.min_credits - 1e-9:
+        elif total < self.hard.min_credits - CREDIT_TOLERANCE:
             out.append(
                 Violation(
                     "credits",
@@ -206,7 +210,7 @@ class PlanValidator:
         earned = plan.credits_by_category()
         for category, minimum in sorted(requirements.items()):
             got = earned.get(category, 0.0)
-            if got < minimum - 1e-9:
+            if got < minimum - CREDIT_TOLERANCE:
                 out.append(
                     Violation(
                         "category_credits",
@@ -226,7 +230,7 @@ class PlanValidator:
                     "distance threshold set but items lack coordinates",
                 )
             )
-        elif total > self.hard.max_distance + 1e-9:
+        elif total > self.hard.max_distance + DISTANCE_TOLERANCE_KM:
             out.append(
                 Violation(
                     "distance",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...core.catalog import Catalog
-from ...core.constraints import TaskSpec
+from ...core.constraints import CREDIT_TOLERANCE, TaskSpec
 from ...core.exceptions import PlanningError
 from ...core.items import Item, ItemType
 from ...core.plan import Plan
@@ -169,7 +169,7 @@ class GoldPlanOracle:
                     earned.get(item.category, 0.0) + item.credits
                 )
         return all(
-            earned.get(cat, 0.0) >= need - 1e-9
+            earned.get(cat, 0.0) >= need - CREDIT_TOLERANCE
             for cat, need in minima.items()
         )
 
@@ -190,7 +190,7 @@ class GoldPlanOracle:
         deficit_slots = 0
         for cat, need in minima.items():
             shortfall = need - earned.get(cat, 0.0)
-            if shortfall <= 1e-9:
+            if shortfall <= CREDIT_TOLERANCE:
                 continue
             available = [
                 i for i in self.catalog.in_category(cat)

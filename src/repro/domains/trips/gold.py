@@ -13,7 +13,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.catalog import Catalog
-from ...core.constraints import TaskSpec
+from ...core.constraints import (
+    CREDIT_TOLERANCE,
+    DISTANCE_TOLERANCE_KM,
+    TaskSpec,
+)
 from ...core.exceptions import PlanningError
 from ...core.items import Item, ItemType
 from ...core.plan import Plan
@@ -117,7 +121,7 @@ class GoldItineraryOracle:
                 continue
             if item.item_type is not required_type:
                 continue
-            if item.credits > budget_left + 1e-9:
+            if item.credits > budget_left + CREDIT_TOLERANCE:
                 continue
             if last is not None and (last.topics & item.topics):
                 continue  # theme-adjacency gap
@@ -133,7 +137,8 @@ class GoldItineraryOracle:
                 )
                 if (
                     hard.max_distance is not None
-                    and distance_used + leg > hard.max_distance + 1e-9
+                    and distance_used + leg
+                    > hard.max_distance + DISTANCE_TOLERANCE_KM
                 ):
                     continue
             popularity = float(item.meta("popularity") or 0.0)

@@ -55,38 +55,8 @@ class FeedbackAdjustedReward:
         self.reject_threshold = reject_threshold
 
     # ------------------------------------------------------------------
-    # RewardFunction interface (delegated gates, adjusted total)
+    # Step kernel (catalog indices) and its per-item reference
     # ------------------------------------------------------------------
-
-    @property
-    def task(self):
-        """The wrapped task (RewardFunction interface)."""
-        return self.base.task
-
-    @property
-    def config(self):
-        """The wrapped config (RewardFunction interface)."""
-        return self.base.config
-
-    def coverage_gate(self, builder: PlanBuilder, item: Item) -> int:
-        """Delegates r1 to the base reward."""
-        return self.base.coverage_gate(builder, item)
-
-    def gap_gate(self, builder: PlanBuilder, item: Item) -> int:
-        """Delegates r2 to the base reward."""
-        return self.base.gap_gate(builder, item)
-
-    def feasibility_gate(self, builder: PlanBuilder, item: Item) -> bool:
-        """Delegates the lookahead feasibility mask."""
-        return self.base.feasibility_gate(builder, item)
-
-    def type_weight(self, item: Item) -> float:
-        """Delegates the type/category weight."""
-        return self.base.type_weight(item)
-
-    def best_possible(self) -> float:
-        """Single-step bound including the maximal preference bonus."""
-        return self.base.best_possible() + self.feedback_weight
 
     def breakdown(self, builder: PlanBuilder, item: Item) -> RewardBreakdown:
         """Base breakdown with the preference term folded into total."""
@@ -106,54 +76,41 @@ class FeedbackAdjustedReward:
         """Adjusted Equation-2 value."""
         return self.breakdown(builder, item).total
 
-    def reward_batch(self, builder: PlanBuilder, candidates) -> np.ndarray:
+    def reward_batch(
+        self, builder: PlanBuilder, cand_idx: np.ndarray
+    ) -> np.ndarray:
         """Vectorized adjusted rewards (batched base + preference term).
 
-        ``candidates`` are catalog indices or Items.  Matches the
-        per-item :meth:`__call__` exactly: the preference bonus applies
-        only to theta-gated-in actions and the adjusted total is clamped
-        at zero.
+        Matches the per-item :meth:`__call__` exactly: the preference
+        bonus applies only to theta-gated-in actions and the adjusted
+        total is clamped at zero.
         """
-        if not isinstance(candidates, np.ndarray):
-            candidates = tuple(candidates)
         theta, _sims, _weights, totals = self.base.batch_components(
-            builder, candidates
+            builder, cand_idx
         )
-        if not len(candidates):
-            return totals
-        prefs = self._preferences(builder, candidates)
+        prefs = self._preferences(builder, cand_idx)
         adjusted = np.maximum(0.0, totals + self.feedback_weight * prefs)
         return np.where(theta, adjusted, totals)
 
-    def mask_actions(self, builder: PlanBuilder, candidates):
-        """Base tiered masking plus hard rejection of refused items.
-
-        Takes catalog indices or Items and answers in the same form.
-        """
-        if not isinstance(candidates, np.ndarray):
-            candidates = tuple(candidates)
-        if self.reject_threshold is not None and len(candidates):
+    def mask_actions(
+        self, builder: PlanBuilder, candidates: np.ndarray
+    ) -> np.ndarray:
+        """Base tiered masking over the candidate indices the store does
+        not reject (all of them when it would reject every one)."""
+        if self.reject_threshold is not None:
             keep = self._preferences(builder, candidates) > self.reject_threshold
             if keep.any():
-                candidates = (
-                    candidates[keep]
-                    if isinstance(candidates, np.ndarray)
-                    else tuple(
-                        item for item, ok in zip(candidates, keep) if ok
-                    )
-                )
+                candidates = candidates[keep]
         return self.base.mask_actions(builder, candidates)
 
-    def _preferences(self, builder: PlanBuilder, candidates) -> np.ndarray:
-        """Stored preference of each candidate (indices or Items)."""
-        if isinstance(candidates, np.ndarray):
-            item_at = builder.catalog.item_at
-            ids = [item_at(i).item_id for i in candidates.tolist()]
-        else:
-            ids = [item.item_id for item in candidates]
+    def _preferences(
+        self, builder: PlanBuilder, cand_idx: np.ndarray
+    ) -> np.ndarray:
+        """Stored preference of each candidate index."""
+        item_at = builder.catalog.item_at
         preference = self.store.preference
         return np.fromiter(
-            (preference(item_id) for item_id in ids),
+            (preference(item_at(i).item_id) for i in cand_idx.tolist()),
             dtype=np.float64,
-            count=len(ids),
+            count=cand_idx.size,
         )

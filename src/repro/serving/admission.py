@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.catalog import Catalog
-from ..core.constraints import TaskSpec
+from ..core.constraints import CREDIT_TOLERANCE, TaskSpec
 from ..core.env import DomainMode
 from ..core.exceptions import DataModelError, InfeasibleError
 from ..core.items import Item
@@ -354,7 +354,7 @@ def _check_feasibility(
             reverse=True,
         )
         attainable = sum(credits[: hard.plan_length])
-        if attainable < hard.min_credits - 1e-9:
+        if attainable < hard.min_credits - CREDIT_TOLERANCE:
             audit.flag(
                 "infeasible_credits",
                 f"the {hard.plan_length} largest admissible items total "

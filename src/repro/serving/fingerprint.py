@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numbers
 import weakref
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, Mapping
 
 import numpy as np
 

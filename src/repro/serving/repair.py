@@ -29,7 +29,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.base import BaselinePlanner
 from ..core.catalog import Catalog
-from ..core.constraints import TaskSpec
+from ..core.constraints import (
+    CREDIT_TOLERANCE,
+    DISTANCE_TOLERANCE_KM,
+    TaskSpec,
+)
 from ..core.env import DomainMode
 from ..core.exceptions import InfeasibleError, PlanningError
 from ..core.items import Item, ItemType
@@ -231,7 +235,7 @@ class RepairPlanner(BaselinePlanner):
         """Eligible items for a slot, with the new travel leg (trips)."""
         hard = self.task.hard
         trip = self.mode is DomainMode.TRIP
-        used = sum(i.credits for i in chosen)
+        budget_left = hard.min_credits - sum(i.credits for i in chosen)
         last = chosen[-1] if chosen else None
         if slot == 0 and start_item_id is not None:
             pool: Sequence[Item] = (self.catalog[start_item_id],)
@@ -244,7 +248,7 @@ class RepairPlanner(BaselinePlanner):
                 continue
             if item.item_type is not required_type:
                 continue
-            if trip and item.credits > hard.min_credits - used + 1e-9:
+            if trip and item.credits > budget_left + CREDIT_TOLERANCE:
                 continue
             if not item.prerequisites.satisfied_by(
                 positions, slot, hard.gap
@@ -279,7 +283,7 @@ class RepairPlanner(BaselinePlanner):
         if self.mode is DomainMode.TRIP:
             if (
                 hard.max_distance is not None
-                and distance_used > hard.max_distance + 1e-9
+                and distance_used > hard.max_distance + DISTANCE_TOLERANCE_KM
             ):
                 return False
             return True
@@ -296,7 +300,7 @@ class RepairPlanner(BaselinePlanner):
         attainable = (
             sum(i.credits for i in chosen) + sum(open_credits[:slots_left])
         )
-        if attainable < hard.min_credits - 1e-9:
+        if attainable < hard.min_credits - CREDIT_TOLERANCE:
             return False
         return self._categories_feasible(chosen, slots_left, used_ids)
 
@@ -316,7 +320,7 @@ class RepairPlanner(BaselinePlanner):
         deficit_slots = 0
         for category, need in sorted(minima.items()):
             shortfall = need - earned.get(category, 0.0)
-            if shortfall <= 1e-9:
+            if shortfall <= CREDIT_TOLERANCE:
                 continue
             available = [
                 i
@@ -338,7 +342,7 @@ class RepairPlanner(BaselinePlanner):
         if self.mode is DomainMode.TRIP:
             return True
         total = sum(i.credits for i in chosen)
-        if total < hard.min_credits - 1e-9:
+        if total < hard.min_credits - CREDIT_TOLERANCE:
             return False
         minima = hard.category_credit_map
         if not minima:
@@ -350,6 +354,6 @@ class RepairPlanner(BaselinePlanner):
                     earned.get(item.category, 0.0) + item.credits
                 )
         return all(
-            earned.get(cat, 0.0) >= need - 1e-9
+            earned.get(cat, 0.0) >= need - CREDIT_TOLERANCE
             for cat, need in minima.items()
         )

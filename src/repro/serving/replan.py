@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..baselines.eda import EDAPlanner
 from ..core.catalog import Catalog
-from ..core.constraints import TaskSpec
+from ..core.constraints import CREDIT_TOLERANCE, TaskSpec
 from ..core.deltas import (
     DELTA_CLOSE,
     DELTA_REOPEN,
@@ -300,7 +300,7 @@ class ReplanSession:
             return False
         if self.service.mode is DomainMode.TRIP:
             budget = self._state.task.hard.min_credits
-            if sum(i.credits for i in prefix) > budget + 1e-9:
+            if sum(i.credits for i in prefix) > budget + CREDIT_TOLERANCE:
                 return False
         return True
 
@@ -399,12 +399,12 @@ class ReplanSession:
             plan_total = sum(credits_of(i) for i in state.plan.items)
             if trip:
                 prefix_total = sum(credits_of(i) for i in prefix)
-                if prefix_total > delta.value + 1e-9:
+                if prefix_total > delta.value + CREDIT_TOLERANCE:
                     return CLASS_PREFIX_INVALIDATING
-                if plan_total <= delta.value + 1e-9:
+                if plan_total <= delta.value + CREDIT_TOLERANCE:
                     return CLASS_BENIGN
                 return CLASS_SUFFIX_ONLY
-            if plan_total >= delta.value - 1e-9:
+            if plan_total >= delta.value - CREDIT_TOLERANCE:
                 return CLASS_BENIGN
             return CLASS_SUFFIX_ONLY
 
@@ -429,12 +429,12 @@ class ReplanSession:
             prefix_total = sum(
                 credits_of(i, override=delta.credits) for i in prefix
             )
-            if prefix_total > budget + 1e-9:
+            if prefix_total > budget + CREDIT_TOLERANCE:
                 return CLASS_PREFIX_INVALIDATING
-            if plan_total <= budget + 1e-9:
+            if plan_total <= budget + CREDIT_TOLERANCE:
                 return CLASS_BENIGN
             return CLASS_SUFFIX_ONLY
-        if plan_total >= budget - 1e-9:
+        if plan_total >= budget - CREDIT_TOLERANCE:
             return CLASS_BENIGN
         return CLASS_SUFFIX_ONLY
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.catalog import Catalog
 from repro.core.exceptions import DataModelError
-from repro.core.items import ItemType, Prerequisites
+from repro.core.items import Prerequisites
 from repro.domains.courses import (
     analyze_prerequisites,
     chain_depth,

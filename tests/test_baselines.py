@@ -1,6 +1,5 @@
 """Tests for the baseline planners (repro.baselines)."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (

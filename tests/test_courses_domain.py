@@ -6,11 +6,7 @@ from repro.core.items import ItemType
 from repro.core.scoring import PlanScorer
 from repro.core.validation import PlanValidator
 from repro.domains.courses import (
-    NJIT_CS,
-    NJIT_CYBERSECURITY,
-    NJIT_DSCT,
     TABLE_VI_COURSES,
-    UNIV2_DS,
     default_template_labels,
     generate_njit_university,
     generate_univ2_program,

@@ -13,8 +13,15 @@ from repro.core.constraints import (
 from repro.core.env import DomainMode, TPPEnvironment
 from repro.core.exceptions import PlanningError
 from repro.core.items import ItemType
+from repro.core.plan import PlanBuilder
+from repro.core.reward import RewardFunction
 
 from conftest import make_item, make_task
+
+
+def _action_ids(env):
+    item_at = env.catalog.item_at
+    return [item_at(i).item_id for i in env.action_indices().tolist()]
 
 
 @pytest.fixture
@@ -51,27 +58,32 @@ class TestEpisodeLifecycle:
 
     def test_step_returns_reward_and_done(self, env):
         env.reset("p1")
-        reward, done = env.step(env.catalog["s1"])
+        prefix = PlanBuilder(env.catalog)
+        prefix.add(env.catalog["p1"])
+        oracle = RewardFunction(env.task, env.config)(
+            prefix, env.catalog["s1"]
+        )
+        reward, done = env.step(env.catalog.index_of("s1"))
         assert reward > 0
+        assert reward == oracle
         assert not done
 
     def test_episode_ends_at_horizon(self, env):
         env.reset("p1")
-        env.step(env.catalog["s1"])
-        env.step(env.catalog["p2"])
-        _, done = env.step(env.catalog["s2"])
+        env.step(env.catalog.index_of("s1"))
+        env.step(env.catalog.index_of("p2"))
+        _, done = env.step(env.catalog.index_of("s2"))
         assert done
         assert len(env.current_plan()) == env.horizon == 4
 
     def test_repeat_item_rejected(self, env):
         env.reset("p1")
         with pytest.raises(PlanningError):
-            env.step(env.catalog["p1"])
+            env.step(env.catalog.index_of("p1"))
 
-    def test_valid_actions_exclude_visited(self, env):
+    def test_action_indices_exclude_visited(self, env):
         env.reset("p1")
-        ids = {item.item_id for item in env.valid_actions()}
-        assert "p1" not in ids
+        assert "p1" not in _action_ids(env)
 
 
 class TestTripBudget:
@@ -107,21 +119,20 @@ class TestTripBudget:
     def test_actions_respect_remaining_budget(self):
         env = self._trip_env(budget=4.5)
         env.reset("a")  # 2.0 used, 2.5 left
-        ids = {item.item_id for item in env.valid_actions()}
-        assert ids == {"b"}  # c (3.0) no longer fits
+        assert _action_ids(env) == ["b"]  # c (3.0) no longer fits
 
     def test_episode_ends_when_budget_exhausted(self):
         env = self._trip_env(budget=4.5)
         env.reset("a")
-        _, done = env.step(env.catalog["b"])  # 4.0 used, nothing fits
+        _, done = env.step(env.catalog.index_of("b"))  # 4.0 used, nothing fits
         assert done
 
     def test_larger_budget_allows_full_template(self):
         env = self._trip_env(budget=10.0)
         env.reset("a")
-        _, done = env.step(env.catalog["b"])
+        _, done = env.step(env.catalog.index_of("b"))
         assert not done
-        _, done = env.step(env.catalog["c"])
+        _, done = env.step(env.catalog.index_of("c"))
         assert done
 
 
@@ -139,8 +150,7 @@ class TestMasking:
             PlannerConfig(coverage_threshold=1.0, exploration=0.0),
         )
         env.reset("p1")
-        ids = {item.item_id for item in env.valid_actions()}
-        assert "dead" not in ids
+        assert "dead" not in _action_ids(env)
 
     def test_masking_can_be_disabled(self, catalog):
         catalog2 = Catalog(
@@ -156,36 +166,34 @@ class TestMasking:
             ),
         )
         env.reset("p1")
-        ids = {item.item_id for item in env.valid_actions()}
-        assert "dead" in ids
+        assert "dead" in _action_ids(env)
 
 
 class TestRewardInjection:
     def test_custom_reward_is_used(self, catalog):
         """TPPEnvironment accepts an injected reward object (the hook
-        the feedback adapter uses)."""
-        from repro.core.reward import RewardFunction
-
+        the feedback adapter uses) and scores its steps through the
+        reward's ``reward_batch``."""
         config = PlannerConfig(coverage_threshold=1.0)
         task = make_task()
 
         class DoubleReward(RewardFunction):
-            def __call__(self, builder, item):
-                return 2.0 * super().__call__(builder, item)
+            def reward_batch(self, builder, cand_idx):
+                return 2.0 * super().reward_batch(builder, cand_idx)
 
         custom = DoubleReward(task, config)
         env = TPPEnvironment(catalog, task, config, reward=custom)
         base_env = TPPEnvironment(catalog, task, config)
         env.reset("p1")
         base_env.reset("p1")
-        item = catalog["s1"]
-        custom_r, _ = env.step(item)
-        base_r, _ = base_env.step(item)
+        action = catalog.index_of("s1")
+        custom_r, _ = env.step(action)
+        base_r, _ = base_env.step(action)
         assert custom_r == pytest.approx(2.0 * base_r)
 
 
 class TestTripBudgetTolerance:
-    """valid_actions and is_done share one affordability rule."""
+    """action_indices and is_done share one affordability rule."""
 
     def _trip_env(self, extra_cost):
         catalog = Catalog(
@@ -214,21 +222,21 @@ class TestTripBudgetTolerance:
 
     def test_float_noise_within_tolerance_is_affordable(self):
         env = self._trip_env(extra_cost=5e-10)
-        assert [i.item_id for i in env.valid_actions()] == ["s1"]
+        assert _action_ids(env) == ["s1"]
         assert not env.is_done()
 
     def test_over_tolerance_is_unaffordable_and_done(self):
         env = self._trip_env(extra_cost=1e-6)
-        assert env.valid_actions() == ()
+        assert _action_ids(env) == []
         assert env.is_done()
 
     def test_exact_budget_fit_is_affordable(self):
         env = self._trip_env(extra_cost=0.0)
-        assert [i.item_id for i in env.valid_actions()] == ["s1"]
+        assert _action_ids(env) == ["s1"]
 
     def test_the_two_checks_never_disagree(self):
         # is_done must be True exactly when no affordable item remains
         # (before the horizon is reached).
         for extra in (0.0, 5e-10, 1e-9, 2e-9, 1e-6, 1.0):
             env = self._trip_env(extra)
-            assert (env.valid_actions() == ()) == env.is_done(), extra
+            assert (env.action_indices().size == 0) == env.is_done(), extra

@@ -5,7 +5,7 @@ masking tiers fall back rather than deadlock), let the validator/scorer
 report the damage, and never raise from ordinary planning calls.
 """
 
-import pytest
+import numpy as np
 
 from repro import RLPlanner
 from repro.core.catalog import Catalog
@@ -174,4 +174,5 @@ class TestRewardEdgeCases:
         reward = RewardFunction(task, PlannerConfig())
         builder = PlanBuilder(catalog)
         builder.add_by_id("only")
-        assert reward.mask_actions(builder, ()) == ()
+        none = np.zeros(0, dtype=np.int64)
+        assert reward.mask_actions(builder, none).size == 0

@@ -148,15 +148,15 @@ class TestAdjustedReward:
     def test_rejected_items_masked(self, setup):
         catalog, base, store, adjusted, builder = setup
         store.add(Feedback.binary("s1", False))
-        masked = adjusted.mask_actions(builder, builder.remaining_items())
-        assert all(item.item_id != "s1" for item in masked)
+        masked = adjusted.mask_actions(builder, builder.remaining_indices())
+        assert catalog.index_of("s1") not in masked.tolist()
 
     def test_mask_falls_back_when_everything_rejected(self, setup):
         catalog, base, store, adjusted, builder = setup
         for item_id in ("s1", "s2", "p2"):
             store.add(Feedback.binary(item_id, False))
-        masked = adjusted.mask_actions(builder, builder.remaining_items())
-        assert masked  # never empty
+        masked = adjusted.mask_actions(builder, builder.remaining_indices())
+        assert masked.size  # never empty
 
 
 class TestInteractiveSession:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.catalog import Catalog
 from repro.core.exceptions import PlanningError
 from repro.core.items import ItemType
-from repro.core.plan import Plan, PlanBuilder, plan_from_ids
+from repro.core.plan import PlanBuilder, plan_from_ids
 
 from conftest import make_item
 

@@ -7,6 +7,8 @@ from repro.core.config import PlannerConfig, RecommendationMode
 from repro.core.env import TPPEnvironment
 from repro.core.exceptions import PlanningError, UntrainedPolicyError
 from repro.core.items import ItemType
+from repro.core.plan import PlanBuilder
+from repro.core.planner import RLPlanner
 from repro.core.policy import GreedyPolicy
 from repro.core.qtable import QTable
 from repro.core.reward import RewardFunction
@@ -79,6 +81,36 @@ class TestQOnlyTraversal:
         )
         with pytest.raises(PlanningError):
             policy.recommend("ghost")
+
+
+class TestQOnlyForeignPrefix:
+    """A foreign last prefix item has no Q row: it reads as a
+    never-visited state, so every masked candidate ties."""
+
+    def test_complete_from_foreign_item(self, cs_dataset):
+        catalog, task = cs_dataset.catalog, cs_dataset.task
+        config = cs_dataset.default_config.replace(
+            episodes=50, recommendation=RecommendationMode.Q_ONLY
+        )
+        planner = RLPlanner(catalog, task, config, mode=cs_dataset.mode)
+        planner.fit()
+        reward = planner.reward_function()
+        foreign = make_item("foreign", ItemType.PRIMARY, topics={"zzz"})
+        policy = GreedyPolicy(
+            planner.qtable, task, mode=cs_dataset.mode, rng_seed=None,
+            reward=reward, recommendation=RecommendationMode.Q_ONLY,
+        )
+        plan = policy.complete([foreign])
+        assert plan.items[0] is foreign
+        assert len(plan) == task.hard.plan_length
+        builder = PlanBuilder(catalog)
+        builder.add(foreign)
+        first = reward.mask_actions(builder, builder.remaining_indices())[0]
+        assert plan.items[1] is catalog.item_at(int(first))
+
+        completed, _score, _ = planner.complete_plan([foreign])
+        assert completed.items[0] is foreign
+        assert len(completed) == task.hard.plan_length
 
 
 class TestLookaheadTraversal:

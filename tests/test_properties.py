@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core.catalog import Catalog
 from repro.core.config import PlannerConfig
-from repro.core.constraints import InterleavingTemplate
 from repro.core.items import Item, ItemType, Prerequisites
 from repro.core.plan import PlanBuilder
 from repro.core.reward import RewardFunction

@@ -8,8 +8,6 @@
 * Schedule folding preserves item order and multiplicity.
 """
 
-import string
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.plan import plan_from_ids
 from repro.datasets import load_toy
-from repro.userstudy import PairedComparison, Question, StudyProtocol
+from repro.userstudy import Question, StudyProtocol
 from repro.userstudy.protocol import _bootstrap_ci, _sign_test_p
 
 

@@ -44,7 +44,6 @@ class TestReport:
         assert "Planner comparison" in text
 
     def test_cli_report_writes_file(self, tmp_path, monkeypatch, capsys):
-        from repro.analysis import report as report_module
         from repro import cli
 
         def fake_build_report(runs, episodes):

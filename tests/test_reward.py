@@ -1,5 +1,6 @@
 """Unit tests for the Equation-2 reward function (repro.core.reward)."""
 
+import numpy as np
 import pytest
 
 from repro.core.catalog import Catalog
@@ -255,8 +256,8 @@ class TestFeasibilityGate:
     def test_mask_tiers_prefer_fully_valid(self, catalog, task, config):
         reward = RewardFunction(task, config)
         builder = builder_with(catalog, "p1")
-        masked = reward.mask_actions(builder, builder.remaining_items())
-        ids = {item.item_id for item in masked}
+        masked = reward.mask_actions(builder, builder.remaining_indices())
+        ids = {catalog.item_at(i).item_id for i in masked.tolist()}
         assert "dead" not in ids  # fails the coverage gate
 
     def test_mask_never_empty(self, catalog, task, config):
@@ -264,5 +265,5 @@ class TestFeasibilityGate:
         builder = builder_with(catalog, "p1")
         # Restrict candidates to a single gate-failing item: the mask
         # must fall back rather than deadlock.
-        masked = reward.mask_actions(builder, (catalog["dead"],))
-        assert masked == (catalog["dead"],)
+        dead = np.array([catalog.index_of("dead")])
+        assert reward.mask_actions(builder, dead).tolist() == dead.tolist()

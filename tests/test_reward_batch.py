@@ -1,13 +1,13 @@
 """The batched reward engine must equal the scalar Eq. 2 path exactly.
 
 ``RewardFunction.reward_batch`` is a pure performance rewrite: for any
-partial plan and candidate set it must produce, to the last bit, the
-same numbers as calling the scalar ``__call__`` per item, and the
-batched ``mask_actions`` must return the same tuple as the scalar
+partial plan and candidate index set it must produce, to the last bit,
+the same numbers as calling the scalar ``__call__`` per item, and the
+batched ``mask_actions`` must keep the same candidates as the scalar
 tiering.  These tests sweep randomized synthetic instances (all three
 similarity modes), the trip datasets (haversine distance budgets) and
 Univ-2 (per-category credit minima), plus the feedback-adjusted
-wrapper and the off-catalog fallback path.
+wrapper.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import PlannerConfig, SimilarityMode
-from repro.core.items import Item, ItemType
 from repro.core.plan import PlanBuilder
 from repro.core.reward import RewardFunction, batch_rewards
 from repro.datasets import load
@@ -26,15 +25,17 @@ from repro.feedback.models import Feedback
 from repro.feedback.store import FeedbackStore
 
 
-def _assert_step_equality(reward, builder, candidates) -> None:
+def _assert_step_equality(reward, builder, cand_idx) -> None:
     """Batch == scalar for rewards, gates and the masked action set."""
-    batch = batch_rewards(reward, builder, candidates)
-    scalar = np.array([reward(builder, item) for item in candidates])
+    item_at = builder.catalog.item_at
+    items = tuple(item_at(i) for i in cand_idx.tolist())
+    batch = batch_rewards(reward, builder, cand_idx)
+    scalar = np.array([reward(builder, item) for item in items])
     np.testing.assert_array_equal(batch, scalar)
     if isinstance(reward, RewardFunction):
-        masked = reward.mask_actions(builder, candidates)
-        scalar_masked = reward._mask_actions_scalar(builder, candidates)
-        assert masked == scalar_masked
+        masked = reward.mask_actions(builder, cand_idx)
+        scalar_masked = reward._mask_actions_scalar(builder, items)
+        assert tuple(item_at(i) for i in masked.tolist()) == scalar_masked
 
 
 def _greedy_sweep(catalog, task, reward, steps: int = 6) -> None:
@@ -42,12 +43,12 @@ def _greedy_sweep(catalog, task, reward, steps: int = 6) -> None:
     builder = PlanBuilder(catalog)
     builder.add(catalog.item_at(0))
     for _ in range(steps):
-        candidates = builder.remaining_items()
-        if not candidates:
+        cand_idx = builder.remaining_indices()
+        if not cand_idx.size:
             break
-        _assert_step_equality(reward, builder, candidates)
-        scores = batch_rewards(reward, builder, candidates)
-        builder.add(candidates[int(np.argmax(scores))])
+        _assert_step_equality(reward, builder, cand_idx)
+        scores = batch_rewards(reward, builder, cand_idx)
+        builder.add(catalog.item_at(int(cand_idx[int(np.argmax(scores))])))
 
 
 class TestSyntheticInstances:
@@ -93,49 +94,11 @@ class TestFeedbackWrapper:
 
 
 class TestFallbacks:
-    def test_off_catalog_candidate_uses_scalar_path(self):
-        """Candidates outside the catalog fall back per-item, same
-        numbers."""
-        catalog, task = generate_instance(num_items=20, seed=3)
-        reward = RewardFunction(task, PlannerConfig())
-        builder = PlanBuilder(catalog)
-        builder.add(catalog.item_at(0))
-        stranger = Item(
-            item_id="offcat",
-            name="Off-catalog item",
-            item_type=ItemType.SECONDARY,
-            credits=3.0,
-            topics=frozenset({"topic000"}),
-        )
-        candidates = list(builder.remaining_items()[:5]) + [stranger]
-        batch = batch_rewards(reward, builder, candidates)
-        scalar = np.array([reward(builder, item) for item in candidates])
-        np.testing.assert_array_equal(batch, scalar)
-
     def test_empty_candidate_set(self):
         catalog, task = generate_instance(num_items=20, seed=3)
         reward = RewardFunction(task, PlannerConfig())
         builder = PlanBuilder(catalog)
         builder.add(catalog.item_at(0))
-        assert batch_rewards(reward, builder, []).shape == (0,)
-        assert reward.mask_actions(builder, ()) == ()
-
-    def test_batch_rewards_helper_without_batch_method(self):
-        """Objects lacking reward_batch are scored per item."""
-
-        class ScalarOnly:
-            def __init__(self, base):
-                self.base = base
-
-            def __call__(self, builder, item):
-                return self.base(builder, item)
-
-        catalog, task = generate_instance(num_items=20, seed=5)
-        base = RewardFunction(task, PlannerConfig())
-        builder = PlanBuilder(catalog)
-        builder.add(catalog.item_at(0))
-        candidates = builder.remaining_items()
-        np.testing.assert_array_equal(
-            batch_rewards(ScalarOnly(base), builder, candidates),
-            batch_rewards(base, builder, candidates),
-        )
+        none = np.zeros(0, dtype=np.int64)
+        assert batch_rewards(reward, builder, none).shape == (0,)
+        assert reward.mask_actions(builder, none).size == 0

@@ -8,7 +8,6 @@ from repro.core.config import PlannerConfig
 from repro.core.env import TPPEnvironment
 from repro.core.exceptions import PlanningError
 from repro.core.items import ItemType
-from repro.core.qtable import QTable
 from repro.core.sarsa import ActionSelection, SarsaLearner
 
 from conftest import make_item, make_task

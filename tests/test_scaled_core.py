@@ -245,14 +245,12 @@ class TestPruningBitIdentity:
             env_full.reset(start)
             env_pruned.reset(start)
             while not env_full.is_done():
-                full = env_full.valid_actions()
-                pruned = env_pruned.valid_actions()
-                if not full:
-                    assert not pruned
+                full = env_full.action_indices()
+                pruned = env_pruned.action_indices()
+                if not full.size:
+                    assert not pruned.size
                     break
-                assert set(i.item_id for i in pruned) <= set(
-                    i.item_id for i in full
-                )
+                assert set(pruned.tolist()) <= set(full.tolist())
                 r_full = batch_rewards(
                     env_full.reward, env_full.builder, full
                 )
@@ -261,18 +259,11 @@ class TestPruningBitIdentity:
                 )
                 # The winner *sets* agree exactly, in catalog order —
                 # same argmax, same tie-break draw distribution.
-                winners_full = [
-                    full[i].item_id
-                    for i in np.flatnonzero(r_full == r_full.max())
-                ]
-                winners_pruned = [
-                    pruned[i].item_id
-                    for i in np.flatnonzero(r_pruned == r_pruned.max())
-                ]
+                winners_full = full[r_full == r_full.max()].tolist()
+                winners_pruned = pruned[r_pruned == r_pruned.max()].tolist()
                 assert winners_pruned == winners_full
-                chosen = catalog[winners_full[0]]
-                env_full.step(chosen)
-                env_pruned.step(chosen)
+                env_full.step(winners_full[0])
+                env_pruned.step(winners_full[0])
 
     def test_pruned_training_equals_full_when_greedy(self):
         # With exploration off, every selection is the argmax — so a

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import DatasetError
-from repro.datasets import SyntheticSpec, generate_instance
+from repro.datasets import generate_instance
 
 
 class TestGeneration:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.catalog import Catalog
 from repro.core.exceptions import TransferError
-from repro.core.items import ItemType
 from repro.core.qtable import QTable
 from repro.core.transfer import (
     build_theme_mapping,

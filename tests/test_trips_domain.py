@@ -8,7 +8,6 @@ from repro.core.validation import PlanValidator, plan_travel_distance_km
 from repro.domains.trips import (
     NYC,
     NYC_THEMES,
-    PARIS,
     PARIS_THEMES,
     build_trip_task,
     gold_trip_plan,
